@@ -26,10 +26,13 @@
 //                   sanitizer runs.  An unavailable SIMD tier falls back
 //                   to the best supported one with a stderr note.)
 //   --reorder R     state ordering of the expanded chain:
-//                   none | level | rcm (default none; level packs the
-//                   charge-major runs the SIMD gather tiers vectorise
-//                   across, rcm minimises bandwidth -- results are
-//                   inverse-permuted, so curves agree with none)
+//                   none | level | rcm (default: the library default,
+//                   level, which packs the charge-major runs the SIMD
+//                   gather tiers vectorise across; none is the natural
+//                   reference numbering, rcm minimises bandwidth.
+//                   Results are inverse-permuted: level curves equal
+//                   none bitwise on two-well chains, rcm agrees within
+//                   10 eps)
 #pragma once
 
 #include <chrono>
@@ -61,9 +64,11 @@ inline std::string kernel_choice(const common::CliArgs& args) {
                          {"auto", "scalar", "avx2", "avx512", "mixed"});
 }
 
-/// The --reorder choice, validated; "none" when absent.
+/// The --reorder choice, validated; the library default
+/// (core::ApproximationOptions::reorder) when absent.
 inline std::string reorder_choice(const common::CliArgs& args) {
-  return args.get_choice("reorder", "none", {"none", "level", "rcm"});
+  return args.get_choice("reorder", core::ApproximationOptions{}.reorder,
+                         {"none", "level", "rcm"});
 }
 
 /// Applies --kernels to the process-global dispatch immediately (so even

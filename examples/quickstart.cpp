@@ -11,7 +11,7 @@
 //                                    krylov|ooc|sharded]
 //                         [--threads N]
 //                         [--kernels auto|scalar|avx2|avx512|mixed]
-//                         [--reorder none|level|rcm]
+//                         [--reorder level|none|rcm]    (default level)
 //                         [--tile-mb N] [--spill-dir PATH]   (ooc engine)
 //                         [--shards N]                    (sharded engine)
 //
@@ -42,8 +42,9 @@ int main(int argc, char** argv) {
   args.validate();
   const std::string kernels = args.get_choice(
       "kernels", "auto", {"auto", "scalar", "avx2", "avx512", "mixed"});
-  const std::string reorder =
-      args.get_choice("reorder", "none", {"none", "level", "rcm"});
+  const std::string reorder = args.get_choice(
+      "reorder", core::ApproximationOptions{}.reorder,
+      {"none", "level", "rcm"});
   const std::string engine =
       args.get_choice("engine", "uniformization", engine::backend_names());
   const auto threads =
@@ -88,8 +89,9 @@ int main(int argc, char** argv) {
               // --kernels pins the runtime-dispatched vector tier (the
               // double tiers are bitwise identical; scalar is the
               // sanitizer-CI escape hatch) and --reorder renumbers the
-              // expanded chain's states (level packs the runs the SIMD
-              // gather tiers want; results are inverse-permuted, so the
+              // expanded chain's states (the default, level, packs the
+              // runs the SIMD gather tiers want; none is the natural
+              // reference numbering; results are inverse-permuted, so the
               // curve is the same either way).
               .kernel_dispatch = kernels,
               .reorder = reorder,

@@ -1,5 +1,7 @@
 #include "kibamrm/core/expanded_ctmc.hpp"
 
+#include <algorithm>
+#include <array>
 #include <utility>
 
 #include "kibamrm/common/error.hpp"
@@ -27,8 +29,9 @@ std::string_view state_ordering_name(StateOrdering ordering) {
 
 namespace {
 
-/// The level-major renumbering: a level axis becomes the innermost index
-/// so consecutive states differ by one level step and the transposed
+/// Chain index arithmetic of the directly built orderings.  The
+/// level-major numbering makes a level axis the innermost index so
+/// consecutive states differ by one level step and the transposed
 /// transition matrix gets its equal-length row runs.  Two-well grids put
 /// j2 innermost with the workload state between the wells -- every
 /// transition family then lands within n*(L2+1)+1 of the diagonal, the
@@ -36,18 +39,50 @@ namespace {
 /// Single-well grids (L2 = 0) put j1 innermost instead; the workload
 /// stride L1+1 stays far inside the compressed plan's int16 offset
 /// budget for every paper configuration.
-linalg::Permutation level_major_permutation(const LevelGrid& grid) {
-  const std::size_t n = grid.workload_states();
-  const std::size_t l1 = grid.available_levels();
-  const std::size_t l2 = grid.bound_levels();
+class ChainLayout {
+ public:
+  ChainLayout(const LevelGrid& grid, bool level_major)
+      : n_(grid.workload_states()),
+        l1_(grid.available_levels()),
+        l2_(grid.bound_levels()),
+        level_major_(level_major) {}
+
+  /// Chain index of grid state (i, j1, j2).
+  std::size_t index(std::size_t i, std::size_t j1, std::size_t j2) const {
+    if (!level_major_) return (j1 * (l2_ + 1) + j2) * n_ + i;
+    return l2_ > 0 ? (j1 * n_ + i) * (l2_ + 1) + j2 : i * (l1_ + 1) + j1;
+  }
+
+  /// Grid coordinates (i, j1, j2) of chain index `row`.
+  std::array<std::size_t, 3> coordinates(std::size_t row) const {
+    if (!level_major_) {
+      const std::size_t level = row / n_;
+      return {row % n_, level / (l2_ + 1), level % (l2_ + 1)};
+    }
+    if (l2_ > 0) {
+      const std::size_t outer = row / (l2_ + 1);
+      return {outer % n_, outer / n_, row % (l2_ + 1)};
+    }
+    return {row / (l1_ + 1), row % (l1_ + 1), 0};
+  }
+
+ private:
+  std::size_t n_;
+  std::size_t l1_;
+  std::size_t l2_;
+  bool level_major_;
+};
+
+/// Grid index -> chain index of `layout`, as the permutation the
+/// ExpandedChain carries.
+linalg::Permutation layout_permutation(const LevelGrid& grid,
+                                       const ChainLayout& layout) {
   std::vector<std::uint32_t> new_of_old(grid.state_count());
-  for (std::size_t j1 = 0; j1 <= l1; ++j1) {
-    for (std::size_t j2 = 0; j2 <= l2; ++j2) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t target =
-            l2 > 0 ? (j1 * n + i) * (l2 + 1) + j2 : i * (l1 + 1) + j1;
+  for (std::size_t j1 = 0; j1 <= grid.available_levels(); ++j1) {
+    for (std::size_t j2 = 0; j2 <= grid.bound_levels(); ++j2) {
+      for (std::size_t i = 0; i < grid.workload_states(); ++i) {
         new_of_old[grid.index(i, j1, j2)] =
-            static_cast<std::uint32_t>(target);
+            static_cast<std::uint32_t>(layout.index(i, j1, j2));
       }
     }
   }
@@ -96,6 +131,13 @@ ExpandedChain build_expanded_chain(const KibamRmModel& model, double delta,
   const auto q_col_idx = q.column_indices();
   const auto q_values = q.values();
 
+  // Natural and level-major chains are emitted straight in chain order:
+  // rows ascending, each row's few entries sorted locally, so the
+  // builder's sorted-input fast path applies and no second copy of the
+  // generator is ever renumbered.  RCM numbers the states from the
+  // assembled pattern, so it builds in natural order and permutes after.
+  const ChainLayout layout(grid, ordering == StateOrdering::kLevel);
+
   linalg::CooBuilder builder(grid.state_count(), grid.state_count());
   // Exact triplet-count bound: only non-absorbing states (j1 >= 1, i.e.
   // l1 * (l2 + 1) level pairs) emit entries.  Summed over the workload
@@ -105,93 +147,94 @@ ExpandedChain build_expanded_chain(const KibamRmModel& model, double delta,
   // multi-million-entry generators of small Delta.
   builder.reserve(l1 * (l2 + 1) * (q.nonzeros() + 3 * n));
 
-  for (std::size_t j1 = 1; j1 <= l1; ++j1) {  // j1 = 0 is absorbing
-    for (std::size_t j2 = 0; j2 <= l2; ++j2) {
-      // Transfer rate from the bound well at this level pair:
-      // k (h2 - h1)/Delta = k (j2/(1-c) - j1/c).
-      double transfer = 0.0;
-      if (k > 0.0 && l2 > 0 && j2 > 0 && j1 < l1) {
-        const double height_diff = static_cast<double>(j2) / (1.0 - c) -
-                                   static_cast<double>(j1) / c;
-        if (height_diff > 0.0) transfer = k * height_diff;
+  // One row's entries: at most n - 1 workload targets, consumption,
+  // transfer and the diagonal.
+  std::vector<std::pair<std::size_t, double>> entries;
+  entries.reserve(n + 2);
+  for (std::size_t from = 0; from < grid.state_count(); ++from) {
+    const auto [i, j1, j2] = layout.coordinates(from);
+    if (j1 == 0) continue;  // the empty layer is absorbing
+    entries.clear();
+    double exit = 0.0;
+
+    // 1. Workload transitions at the same reward levels; a rate modifier
+    // makes this the reward-inhomogeneous Q(y1, y2) of Sec. 4.1,
+    // evaluated at the level representatives.
+    for (std::uint32_t e = q_row_ptr[i]; e < q_row_ptr[i + 1]; ++e) {
+      const std::size_t target = q_col_idx[e];
+      if (target == i) continue;  // diagonal rebuilt below
+      double rate = q_values[e];
+      if (model.has_rate_modifier()) {
+        const double factor = model.rate_modifier()(
+            i, target, static_cast<double>(j1) * delta,
+            static_cast<double>(j2) * delta);
+        KIBAMRM_REQUIRE(
+            factor >= 0.0 &&
+                factor <= model.rate_modifier_bound() * (1.0 + 1e-12),
+            "rate modifier returned a value outside [0, bound]");
+        rate *= factor;
       }
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t from = grid.index(i, j1, j2);
-        double exit = 0.0;
-
-        // 1. Workload transitions at the same reward levels; a rate
-        // modifier makes this the reward-inhomogeneous Q(y1, y2) of
-        // Sec. 4.1, evaluated at the level representatives.
-        for (std::uint32_t e = q_row_ptr[i]; e < q_row_ptr[i + 1]; ++e) {
-          const std::size_t target = q_col_idx[e];
-          if (target == i) continue;  // diagonal rebuilt below
-          double rate = q_values[e];
-          if (model.has_rate_modifier()) {
-            const double factor = model.rate_modifier()(
-                i, target, static_cast<double>(j1) * delta,
-                static_cast<double>(j2) * delta);
-            KIBAMRM_REQUIRE(
-                factor >= 0.0 &&
-                    factor <= model.rate_modifier_bound() * (1.0 + 1e-12),
-                "rate modifier returned a value outside [0, bound]");
-            rate *= factor;
-          }
-          if (rate > 0.0) {
-            builder.add(from, grid.index(target, j1, j2), rate);
-            exit += rate;
-          }
-        }
-
-        // 2. Consumption of energy: one level down in the available well.
-        const double current = model.workload().current(i);
-        if (current > 0.0) {
-          const double rate = current / delta;
-          builder.add(from, grid.index(i, j1 - 1, j2), rate);
-          exit += rate;
-        }
-
-        // 3. Charge flow from the bound well to the available well.
-        if (transfer > 0.0) {
-          builder.add(from, grid.index(i, j1 + 1, j2 - 1), transfer);
-          exit += transfer;
-        }
-
-        if (exit > 0.0) builder.add(from, from, -exit);
+      if (rate > 0.0) {
+        entries.emplace_back(layout.index(target, j1, j2), rate);
+        exit += rate;
       }
     }
+
+    // 2. Consumption of energy: one level down in the available well.
+    const double current = model.workload().current(i);
+    if (current > 0.0) {
+      const double rate = current / delta;
+      entries.emplace_back(layout.index(i, j1 - 1, j2), rate);
+      exit += rate;
+    }
+
+    // 3. Charge flow from the bound well to the available well at
+    // k (h2 - h1)/Delta = k (j2/(1-c) - j1/c).
+    if (k > 0.0 && l2 > 0 && j2 > 0 && j1 < l1) {
+      const double height_diff = static_cast<double>(j2) / (1.0 - c) -
+                                 static_cast<double>(j1) / c;
+      if (height_diff > 0.0) {
+        const double transfer = k * height_diff;
+        entries.emplace_back(layout.index(i, j1 + 1, j2 - 1), transfer);
+        exit += transfer;
+      }
+    }
+
+    if (exit > 0.0) entries.emplace_back(from, -exit);
+    std::sort(entries.begin(), entries.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (const auto& [col, value] : entries) builder.add(from, col, value);
   }
 
   std::vector<double> initial(grid.state_count(), 0.0);
   const auto& alpha = model.workload().initial_distribution();
   for (std::size_t i = 0; i < n; ++i) {
     if (alpha[i] != 0.0) {
-      initial[grid.index(i, grid.initial_available_level(),
-                         grid.initial_bound_level())] = alpha[i];
+      initial[layout.index(i, grid.initial_available_level(),
+                           grid.initial_bound_level())] = alpha[i];
     }
   }
 
   linalg::CsrMatrix generator = builder.build();
 
-  // Renumber at build time: a symmetric permutation of the generator is
-  // the same chain (row sums, rates and absorbing layers all carried
-  // along), so every backend solves it unchanged; only the memory layout
-  // of the hot loops differs.  The permutation rides in the result so
-  // distributions map back to grid coordinates.
+  // A renumbering is a symmetric permutation of the generator: the same
+  // chain (row sums, rates and absorbing layers all carried along), so
+  // every backend solves it unchanged; only the memory layout of the hot
+  // loops differs.  The permutation rides in the result so distributions
+  // map back to grid coordinates.
   linalg::Permutation permutation;
   switch (ordering) {
     case StateOrdering::kNone:
       permutation = linalg::Permutation::identity(grid.state_count());
       break;
     case StateOrdering::kLevel:
-      permutation = level_major_permutation(grid);
+      permutation = layout_permutation(grid, layout);
       break;
     case StateOrdering::kRcm:
       permutation = linalg::Permutation::reverse_cuthill_mckee(generator);
+      generator = permutation.permuted(generator);
+      initial = permutation.apply(initial);
       break;
-  }
-  if (ordering != StateOrdering::kNone) {
-    generator = permutation.permuted(generator);
-    initial = permutation.apply(initial);
   }
 
   return ExpandedChain{grid, markov::Ctmc(std::move(generator)),

@@ -19,10 +19,21 @@
 // can renumber the states at build time (StateOrdering): "level" moves a
 // level axis innermost so consecutive states differ by one level step
 // (long uniform runs, same bandwidth), "rcm" applies reverse
-// Cuthill-McKee to the assembled generator.  The permutation is carried
-// in the ExpandedChain so distributions map back to grid coordinates;
-// solved curves are invariant under any ordering (the chain is the same
-// chain).
+// Cuthill-McKee to the assembled generator.  Natural and level chains
+// are emitted directly in chain order (index arithmetic, rows ascending,
+// each row sorted locally); only rcm renumbers an assembled generator.
+// The permutation is carried in the ExpandedChain so distributions map
+// back to grid coordinates.
+//
+// Solved curves do not depend on the ordering (the chain is the same
+// chain).  On two-well grids the level order even keeps every transposed
+// row's entries in natural relative order, so with the order-independent
+// renormalising sum its curves are bitwise equal to "none"; single-well
+// level chains and rcm chains sum rows in another order and agree to
+// rounding.  build_expanded_chain defaults to the natural numbering, the
+// reference the tests index by LevelGrid::index; the solver front doors
+// (core::ApproximationOptions, engine::ScenarioBatchOptions) default to
+// "level".
 #pragma once
 
 #include <string_view>

@@ -111,8 +111,9 @@ struct ScenarioBatchOptions {
   /// to keep reports readable).  The double tiers are bitwise identical.
   std::string kernel_dispatch = "auto";
   /// State ordering of every expanded chain ("none" / "level" / "rcm");
-  /// see core::ApproximationOptions::reorder.
-  std::string reorder = "none";
+  /// defaults to "level" like core::ApproximationOptions::reorder, which
+  /// documents what each ordering does to the curves.
+  std::string reorder = "level";
   /// Worker processes per solve of the "sharded" engine; forwarded to
   /// every lane's BackendOptions::shards.  Other engines ignore it.
   std::size_t shards = 1;

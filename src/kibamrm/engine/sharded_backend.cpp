@@ -328,10 +328,10 @@ void run_worker(SharedSetup& shared, std::size_t shard) {
       current.swap(accum);
       up.send(kFrameSlice, current.data() + r0, band_rows * sizeof(double));
       if (options.renormalize) {
-        // The coordinator sums the assembled vector (serial Kahan, same
-        // order as normalize_probability) and broadcasts one factor;
-        // scaling is elementwise, so band-local application is bitwise
-        // identical to whole-vector scaling.
+        // The coordinator sums the assembled vector (the correctly
+        // rounded sum behind normalize_probability) and broadcasts one
+        // factor; scaling is elementwise, so band-local application is
+        // bitwise identical to whole-vector scaling.
         expect_worker_frame(down, frame, kFrameScale, sizeof(double));
         double alpha = 0.0;
         std::memcpy(&alpha, frame.payload.data(), sizeof(alpha));
@@ -592,8 +592,9 @@ std::vector<std::vector<double>> ShardedBackend::solve(
                     frame.payload.size());
       }
       if (options_.renormalize) {
-        // Same serial Kahan sum over the same element order as
-        // normalize_probability on the single-process backends.
+        // The correctly rounded sum normalize_probability uses on the
+        // single-process backends: one rounding of the exact total, so
+        // the factor matches theirs bit for bit.
         const double total = linalg::sum(assembled_);
         if (!(total > 0.0)) {
           throw NumericalError(

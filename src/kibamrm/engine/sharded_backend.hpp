@@ -28,10 +28,11 @@
 // the same operands in the same order as the parallel backend; band and
 // lane boundaries only move rows between executors.  The steady-state
 // decision input (max of per-band deltas) and the renormalisation total
-// (serial Kahan sum over the assembled vector, computed on the coordinator
-// only) are reduced exactly as the single-process solver reduces them, so
-// curves are bitwise identical to `parallel` at every shards x threads
-// combination -- tests/test_engine_sharded.cpp pins this down.
+// (the correctly rounded linalg::sum over the assembled vector, computed
+// on the coordinator only) are reduced exactly as the single-process
+// solver reduces them, so curves are bitwise identical to `parallel` at
+// every shards x threads combination -- tests/test_engine_sharded.cpp
+// pins this down.
 //
 // Requires fused_kernels (the band loop is built on the gather plan);
 // throws UnsupportedChainError otherwise.  The float32 mixed tier is not

@@ -27,10 +27,14 @@ void CooBuilder::add(std::size_t row, std::size_t col, double value) {
 }
 
 CsrMatrix CooBuilder::build() {
-  std::sort(triplets_.begin(), triplets_.end(),
-            [](const Triplet& a, const Triplet& b) {
-              return a.row != b.row ? a.row < b.row : a.col < b.col;
-            });
+  const auto before = [](const Triplet& a, const Triplet& b) {
+    return a.row != b.row ? a.row < b.row : a.col < b.col;
+  };
+  // Builders that emit row by row in column order (the expanded chain)
+  // skip the sort: one O(nnz) scan instead of O(nnz log nnz).
+  if (!std::is_sorted(triplets_.begin(), triplets_.end(), before)) {
+    std::sort(triplets_.begin(), triplets_.end(), before);
+  }
 
   CsrMatrix result(rows_, cols_);
   result.row_ptr_.assign(rows_ + 1, 0);

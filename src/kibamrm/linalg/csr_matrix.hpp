@@ -46,7 +46,9 @@ class CooBuilder {
   void reserve(std::size_t n) { triplets_.reserve(n); }
 
   /// Sorts, merges duplicates, drops explicit zeros and builds the CSR
-  /// matrix.  The builder is left empty afterwards.
+  /// matrix.  Input already in (row, col) order skips the sort, so a
+  /// builder fed row by row costs O(nnz).  The builder is left empty
+  /// afterwards.
   CsrMatrix build();
 
  private:

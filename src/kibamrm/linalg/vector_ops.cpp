@@ -9,17 +9,58 @@
 namespace kibamrm::linalg {
 
 double sum(const std::vector<double>& v) {
-  // Kahan summation: uniformisation adds ~1e5 tiny Poisson-weighted terms,
-  // plain accumulation loses digits we later compare against 1.
-  double total = 0.0;
-  double carry = 0.0;
+  // Shewchuk's exact partials (the algorithm behind Python's math.fsum):
+  // the running sum is kept as non-overlapping doubles whose exact total
+  // is the exact sum of the inputs so far, and the final fold rounds that
+  // total once.  The result is the correctly rounded sum, so it does not
+  // depend on the element order -- a renumbered state vector normalises
+  // to the same bits.  Non-finite inputs (and an intermediate overflow)
+  // propagate through a plain side sum.
+  std::vector<double> partials;
+  double special = 0.0;
   for (double x : v) {
-    const double y = x - carry;
-    const double t = total + y;
-    carry = (t - total) - y;
-    total = t;
+    if (!std::isfinite(x)) {
+      special += x;
+      continue;
+    }
+    std::size_t kept = 0;
+    for (double y : partials) {
+      if (std::abs(x) < std::abs(y)) std::swap(x, y);
+      const double hi = x + y;
+      const double lo = y - (hi - x);
+      if (lo != 0.0) partials[kept++] = lo;
+      x = hi;
+    }
+    partials.resize(kept);
+    if (!std::isfinite(x)) {
+      special += x;
+    } else if (x != 0.0) {
+      partials.push_back(x);
+    }
   }
-  return total;
+  if (special != 0.0) return special;  // also taken by NaN
+  if (partials.empty()) return 0.0;
+
+  // Fold from the largest partial down; stop at the first inexact add.
+  std::size_t n = partials.size() - 1;
+  double hi = partials[n];
+  double lo = 0.0;
+  while (n > 0) {
+    const double x = hi;
+    const double y = partials[--n];
+    hi = x + y;
+    lo = y - (hi - x);
+    if (lo != 0.0) break;
+  }
+  // Round-half-even correction: when the remainder lo is exactly half an
+  // ulp and the partials below it push the same way, round away.
+  if (n > 0 && ((lo < 0.0 && partials[n - 1] < 0.0) ||
+                (lo > 0.0 && partials[n - 1] > 0.0))) {
+    const double y = lo * 2.0;
+    const double x = hi + y;
+    if (y == x - hi) hi = x;
+  }
+  return hi;
 }
 
 double dot(const std::vector<double>& a, const std::vector<double>& b) {

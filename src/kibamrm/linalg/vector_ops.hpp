@@ -8,7 +8,8 @@
 
 namespace kibamrm::linalg {
 
-/// Sum of all entries.
+/// Sum of all entries, correctly rounded (exact partials, then one
+/// rounding), hence independent of the entry order.
 double sum(const std::vector<double>& v);
 
 /// Dot product.

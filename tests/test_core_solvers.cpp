@@ -145,6 +145,13 @@ TEST(Approximation, StatsReported) {
   EXPECT_GT(stats.uniformization_rate, 2.0);
 }
 
+TEST(Approximation, LevelOrderingIsTheDefault) {
+  EXPECT_EQ(ApproximationOptions{}.reorder, "level");
+  MarkovianApproximation solver(onoff_c1(), {.delta = 25.0});
+  EXPECT_EQ(solver.last_stats().reorder, "level");
+  EXPECT_EQ(solver.expanded_chain().ordering, StateOrdering::kLevel);
+}
+
 TEST(Approximation, CurveIsMonotoneAndBounded) {
   MarkovianApproximation solver(onoff_kibam(), {.delta = 300.0});
   const auto curve = solver.solve(uniform_grid(1000.0, 30000.0, 60));

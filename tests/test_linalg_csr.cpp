@@ -1,6 +1,9 @@
 // Tests for the COO builder and CSR matrix kernels.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <type_traits>
 #include <vector>
 
 #include "kibamrm/common/error.hpp"
@@ -51,6 +54,51 @@ TEST(CooBuilder, UnsortedInsertionOrderIsFine) {
   EXPECT_DOUBLE_EQ(m.at(0, 2), 2.0);
   EXPECT_DOUBLE_EQ(m.at(2, 0), 3.0);
   EXPECT_DOUBLE_EQ(m.at(2, 1), 4.0);
+}
+
+TEST(CooBuilder, SortedAndShuffledInputBuildTheSameCsr) {
+  // The sorted-input fast path and the sorting path must agree array for
+  // array, duplicates and cancelling entries included.  Values are small
+  // dyadic numbers, so duplicate sums are exact in any merge order.
+  std::vector<Triplet> triplets;
+  for (std::uint32_t row = 0; row < 40; ++row) {
+    for (std::uint32_t col = row % 3; col < 40; col += 7) {
+      triplets.push_back({row, col, 0.25 * (1.0 + (row + col) % 5)});
+    }
+    // A duplicate pair summing to 1 and one cancelling to zero.
+    triplets.push_back({row, row, 1.5});
+    triplets.push_back({row, row, -0.5});
+    triplets.push_back({row, 39, 2.0});
+    triplets.push_back({row, 39, -2.0});
+  }
+  std::vector<Triplet> sorted = triplets;
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const Triplet& a, const Triplet& b) {
+                     return a.row != b.row ? a.row < b.row : a.col < b.col;
+                   });
+  const auto build = [](const std::vector<Triplet>& input) {
+    CooBuilder builder(40, 40);
+    for (const Triplet& t : input) builder.add(t.row, t.col, t.value);
+    return builder.build();
+  };
+  const CsrMatrix reference = build(sorted);
+  EXPECT_EQ(reference.at(3, 3), 1.0);
+  EXPECT_EQ(reference.at(5, 39), 0.0);
+  const auto as_vector = [](auto span) {
+    return std::vector<std::decay_t<decltype(span[0])>>(span.begin(),
+                                                        span.end());
+  };
+  std::mt19937 rng(7);
+  for (int round = 0; round < 5; ++round) {
+    std::vector<Triplet> shuffled = triplets;
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+    const CsrMatrix m = build(shuffled);
+    EXPECT_EQ(as_vector(m.row_pointers()),
+              as_vector(reference.row_pointers()));
+    EXPECT_EQ(as_vector(m.column_indices()),
+              as_vector(reference.column_indices()));
+    EXPECT_EQ(as_vector(m.values()), as_vector(reference.values()));
+  }
 }
 
 TEST(CsrMatrix, MultiplyColumnVector) {

@@ -3,20 +3,24 @@
 // edge cases), symmetric matrix permutation, the RCM bandwidth heuristic
 // on the real fig8 chain, and the end-to-end invariants the reorder flag
 // promises -- the transient distribution does not depend on the state
-// numbering (within the solver's 10 eps agreement budget), and the
-// inverse-permuted curves stay bitwise deterministic across thread
-// counts.
+// numbering (within the solver's 10 eps agreement budget; bitwise for
+// the level ordering of two-well chains), the directly built level chain
+// equals the permuted natural one, and the inverse-permuted curves stay
+// bitwise deterministic across thread counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <random>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "kibamrm/common/error.hpp"
 #include "kibamrm/core/approx_solver.hpp"
 #include "kibamrm/core/expanded_ctmc.hpp"
+#include "kibamrm/engine/scenario_batch.hpp"
 #include "kibamrm/engine/transient_backend.hpp"
 #include "kibamrm/linalg/csr_matrix.hpp"
 #include "kibamrm/linalg/permutation.hpp"
@@ -31,12 +35,38 @@ using linalg::CooBuilder;
 using linalg::CsrMatrix;
 using linalg::Permutation;
 
-core::KibamRmModel fig8_model() {
+core::KibamRmModel fig8_model(int erlang_k = 1) {
+  return core::KibamRmModel(
+      workload::make_onoff_model(
+          {.frequency = 1.0, .erlang_k = erlang_k, .on_current = 0.96}),
+      {.capacity = 7200.0, .available_fraction = 0.625,
+       .flow_constant = 4.5e-5});
+}
+
+// The fig8 load on a single-well battery (c = 1, k = 0): L2 = 0, so the
+// level ordering puts j1 innermost.
+core::KibamRmModel single_well_model() {
   return core::KibamRmModel(
       workload::make_onoff_model(
           {.frequency = 1.0, .erlang_k = 1, .on_current = 0.96}),
-      {.capacity = 7200.0, .available_fraction = 0.625,
-       .flow_constant = 4.5e-5});
+      {.capacity = 7200.0, .available_fraction = 1.0,
+       .flow_constant = 0.0});
+}
+
+// fig8 with a charge-dependent throttle of the on -> off rate.
+core::KibamRmModel modified_fig8_model() {
+  core::KibamRmModel model = fig8_model();
+  model.set_rate_modifier(
+      [](std::size_t from, std::size_t, double y1, double y2) {
+        return from == 0 && y1 < 2000.0 && y2 > 1000.0 ? 0.5 : 1.0;
+      },
+      1.0);
+  return model;
+}
+
+template <typename T>
+std::vector<T> to_vector(std::span<const T> span) {
+  return std::vector<T>(span.begin(), span.end());
 }
 
 Permutation random_permutation(std::size_t n, unsigned seed) {
@@ -129,6 +159,41 @@ linalg::CsrMatrix compacted_transpose(const core::ExpandedChain& expanded) {
   return p.transposed_submatrix(p.reachable_rows(seeds));
 }
 
+TEST(Permutation, DirectLevelBuildEqualsPermutedNaturalChain) {
+  // build_expanded_chain emits the level-major chain directly; it must be
+  // exactly the natural chain renumbered by its own permutation, array
+  // for array.
+  struct Case {
+    const char* name;
+    core::KibamRmModel model;
+    double delta;
+  };
+  const Case cases[] = {{"fig8 erlang-1", fig8_model(1), 50.0},
+                        {"fig8 erlang-2", fig8_model(2), 100.0},
+                        {"single well", single_well_model(), 25.0},
+                        {"rate modifier", modified_fig8_model(), 100.0}};
+  for (const Case& c : cases) {
+    const auto natural = core::build_expanded_chain(
+        c.model, c.delta, core::StateOrdering::kNone);
+    const auto level = core::build_expanded_chain(
+        c.model, c.delta, core::StateOrdering::kLevel);
+    ASSERT_FALSE(level.permutation.is_identity()) << c.name;
+    const CsrMatrix expected =
+        level.permutation.permuted(natural.chain.generator());
+    const CsrMatrix& direct = level.chain.generator();
+    EXPECT_EQ(to_vector(direct.row_pointers()),
+              to_vector(expected.row_pointers()))
+        << c.name;
+    EXPECT_EQ(to_vector(direct.column_indices()),
+              to_vector(expected.column_indices()))
+        << c.name;
+    EXPECT_EQ(to_vector(direct.values()), to_vector(expected.values()))
+        << c.name;
+    EXPECT_EQ(level.initial, level.permutation.apply(natural.initial))
+        << c.name;
+  }
+}
+
 TEST(Permutation, RcmReducesFig8Bandwidth) {
   // The point of the RCM option: on the matrix the solver iterates (the
   // compacted transpose of the real expanded battery chain) the natural
@@ -183,27 +248,69 @@ TEST(Permutation, TransientDistributionInvariantUnderAnyPermutation) {
 TEST(Permutation, ReorderedCurvesAgreeAcrossOrderings) {
   // The end-to-end reorder flag: every ordering must yield the same
   // lifetime curve within 10 eps of the configured epsilon.
-  const auto times = std::vector<double>{8000.0, 12000.0, 16000.0};
   const double epsilon = 1e-10;
-  std::vector<std::vector<double>> curves;
-  for (const auto ordering :
-       {core::StateOrdering::kNone, core::StateOrdering::kLevel,
-        core::StateOrdering::kRcm}) {
-    const auto expanded =
-        core::build_expanded_chain(fig8_model(), 100.0, ordering);
-    auto backend = engine::make_backend("uniformization",
-                                        {.epsilon = epsilon});
-    curves.push_back(
-        core::solve_empty_probability_curve(expanded, *backend, times,
-                                            epsilon)
-            .probabilities());
-  }
-  for (std::size_t k = 1; k < curves.size(); ++k) {
-    for (std::size_t i = 0; i < times.size(); ++i) {
-      EXPECT_NEAR(curves[k][i], curves[0][i], 10.0 * epsilon)
-          << "ordering " << k << " point " << i;
+  const auto solve = [&](const core::KibamRmModel& model, double delta,
+                         core::StateOrdering ordering,
+                         const std::vector<double>& times,
+                         const std::string& engine, std::size_t threads) {
+    const auto expanded = core::build_expanded_chain(model, delta, ordering);
+    auto backend = engine::make_backend(
+        engine, {.epsilon = epsilon, .threads = threads});
+    return core::solve_empty_probability_curve(expanded, *backend, times,
+                                               epsilon)
+        .probabilities();
+  };
+  const auto none = core::StateOrdering::kNone;
+  const auto level = core::StateOrdering::kLevel;
+  const auto rcm = core::StateOrdering::kRcm;
+  const auto times = std::vector<double>{8000.0, 12000.0, 16000.0};
+  for (const auto& model : {fig8_model(), single_well_model()}) {
+    const auto reference =
+        solve(model, 100.0, none, times, "uniformization", 1);
+    for (const auto ordering : {level, rcm}) {
+      const auto curve =
+          solve(model, 100.0, ordering, times, "uniformization", 1);
+      for (std::size_t i = 0; i < times.size(); ++i) {
+        EXPECT_NEAR(curve[i], reference[i], 10.0 * epsilon)
+            << core::state_ordering_name(ordering) << " point " << i;
+      }
     }
   }
+
+  // On two-well chains the level order keeps every transposed row's
+  // entries in natural relative order and the renormalising sum is
+  // correctly rounded, so level is a pure layout change: bitwise equal
+  // to none on every engine path.  The dense grid renormalises after
+  // each of 57 increments, where an order-dependent (compensated) sum
+  // already drifts by an ulp on the Erlang-2 chain.
+  const double coarse = 300.0;
+  const auto grid = core::uniform_grid(6000.0, 20000.0, 57);
+  for (const int erlang_k : {1, 2}) {
+    const auto model = fig8_model(erlang_k);
+    EXPECT_EQ(solve(model, coarse, level, grid, "uniformization", 1),
+              solve(model, coarse, none, grid, "uniformization", 1))
+        << "erlang-" << erlang_k;
+    for (const std::size_t threads : {1u, 4u}) {
+      EXPECT_EQ(solve(model, coarse, level, grid, "parallel", threads),
+                solve(model, coarse, none, grid, "parallel", threads))
+          << "erlang-" << erlang_k << ", " << threads << " threads";
+    }
+  }
+  std::vector<std::vector<double>> batched;
+  for (const std::string reorder : {"none", "level"}) {
+    engine::ScenarioBatch batch({.epsilon = epsilon, .threads = 2,
+                                 .reorder = reorder});
+    const auto results = batch.solve_all(
+        {{"erlang-1", fig8_model(1), coarse, grid},
+         {"erlang-2", fig8_model(2), coarse, grid}});
+    for (const auto& result : results) {
+      ASSERT_TRUE(result.curve) << result.label;
+      EXPECT_EQ(result.stats.reorder, reorder);
+      batched.push_back(result.curve->probabilities());
+    }
+  }
+  EXPECT_EQ(batched[2], batched[0]);
+  EXPECT_EQ(batched[3], batched[1]);
 }
 
 TEST(Permutation, ReorderedParallelBitwiseAcrossThreadCounts) {

@@ -1,6 +1,10 @@
 // Tests for linalg/vector_ops kernels.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <random>
 #include <vector>
 
 #include "kibamrm/common/error.hpp"
@@ -10,9 +14,40 @@ namespace kibamrm::linalg {
 namespace {
 
 TEST(VectorOps, SumIsAccurateOnManyTinyTerms) {
-  // Kahan summation keeps 1e7 additions of 1e-7 at ~1.0 exactly enough.
+  // The correctly rounded sum keeps 1e7 additions of 1e-7 at ~1.0.
   std::vector<double> v(10000000, 1e-7);
   EXPECT_NEAR(sum(v), 1.0, 1e-12);
+}
+
+TEST(VectorOps, SumIsExactWhereCompensationFails) {
+  // Kahan loses the small terms beside the cancelling giants; the exact
+  // partials keep them.
+  EXPECT_EQ(sum({1.0, 1e100, 1.0, -1e100}), 2.0);
+  EXPECT_EQ(sum(std::vector<double>(10, 0.1)), 1.0);
+  EXPECT_EQ(sum({1e-16, 1.0, 1e16}), 10000000000000002.0);  // half-even
+  EXPECT_EQ(sum({1.0, -1.0}), 0.0);
+}
+
+TEST(VectorOps, SumIsBitwiseIndependentOfOrder) {
+  // A probability-like vector over many magnitudes: every shuffle sums to
+  // the same bits.
+  std::mt19937 rng(11);
+  std::uniform_real_distribution<double> mantissa(0.0, 1.0);
+  std::uniform_int_distribution<int> exponent(-40, 0);
+  std::vector<double> v(5000);
+  for (double& x : v) x = std::ldexp(mantissa(rng), exponent(rng));
+  const double reference = sum(v);
+  for (int round = 0; round < 20; ++round) {
+    std::shuffle(v.begin(), v.end(), rng);
+    EXPECT_EQ(sum(v), reference) << "shuffle " << round;
+  }
+}
+
+TEST(VectorOps, SumPropagatesNonFiniteValues) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(sum({1.0, inf}), inf);
+  EXPECT_TRUE(std::isnan(sum({inf, -inf})));
+  EXPECT_TRUE(std::isnan(sum({1.0, std::nan("")})));
 }
 
 TEST(VectorOps, SumOfEmptyVectorIsZero) {
