@@ -29,8 +29,7 @@ double minutes(std::optional<double> seconds) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  common::CliArgs args(argc, argv);
+int run(kibamrm::common::CliArgs& args) {
   args.declare("csv").declare("full");
   args.validate();
 
@@ -118,4 +117,8 @@ int main(int argc, char** argv) {
          "relaxation spectra (single-rate well vs diffusion modes) driving "
          "their remaining disagreement.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return kibamrm::common::run_main(argc, argv, run);
 }

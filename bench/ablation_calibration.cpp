@@ -13,9 +13,8 @@
 #include "kibamrm/battery/lifetime.hpp"
 #include "kibamrm/common/units.hpp"
 
-int main(int argc, char** argv) {
+int run(kibamrm::common::CliArgs& args) {
   using namespace kibamrm;
-  common::CliArgs args(argc, argv);
   args.declare("csv").declare("full");
   args.validate();
 
@@ -49,4 +48,8 @@ int main(int argc, char** argv) {
                "k -- the analytic KiBaM cannot produce the frequency "
                "dependence seen experimentally (Table 1's point).\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return kibamrm::common::run_main(argc, argv, run);
 }

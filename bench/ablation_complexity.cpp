@@ -46,8 +46,7 @@ void sweep(const core::KibamRmModel& model, const std::vector<double>& deltas,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  common::CliArgs args(argc, argv);
+int run(kibamrm::common::CliArgs& args) {
   args.declare("csv").declare("full").declare("engine").declare("json")
       .declare("threads").declare("no-fuse").declare("no-detect")
       .declare("kernels").declare("reorder").declare("tile-mb")
@@ -86,4 +85,8 @@ int main(int argc, char** argv) {
   std::cout << "Paper anchors: Delta = 5 single-well chain has 2882 states "
                "and needs >36000 iterations for t = 17000 s.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return kibamrm::common::run_main(argc, argv, run);
 }

@@ -16,9 +16,8 @@
 #include "kibamrm/core/simulator.hpp"
 #include "kibamrm/workload/onoff_model.hpp"
 
-int main(int argc, char** argv) {
+int run(kibamrm::common::CliArgs& args) {
   using namespace kibamrm;
-  common::CliArgs args(argc, argv);
   args.declare("csv").declare("full").declare("runs").declare("delta");
   args.validate();
   const auto runs = static_cast<std::size_t>(args.get_int("runs", 1000));
@@ -67,4 +66,8 @@ int main(int argc, char** argv) {
             << io::format_double(worst, 4)
             << " across K -- 'do not change visibly', as the paper says.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return kibamrm::common::run_main(argc, argv, run);
 }

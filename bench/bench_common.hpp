@@ -270,7 +270,7 @@ inline EngineRun run_approximation(const core::KibamRmModel& model,
 
 /// Work rate of the uniformisation kernel: stored entries of the matrix
 /// the loop actually iterated (active_nonzeros -- the compacted transpose
-/// when fused, the full uniformised P otherwise; generator nonzeros as a
+/// when fused, the full transpose otherwise; generator nonzeros as a
 /// fallback for engines that do not report it) times DTMC steps per wall
 /// second.  Tracks kernel-level regressions the wall time alone hides
 /// (e.g. an iteration-count change masking a slower spmv, or a grown
@@ -278,12 +278,49 @@ inline EngineRun run_approximation(const core::KibamRmModel& model,
 /// iterations or took no measurable time.
 inline double spmv_throughput(const core::ApproximationStats& stats,
                               double wall_seconds) {
-  if (wall_seconds <= 0.0 || stats.uniformization_iterations == 0) return 0.0;
+  if (wall_seconds <= 0.0 || stats.iterations == 0) return 0.0;
   const std::uint64_t nonzeros = stats.active_nonzeros != 0
                                      ? stats.active_nonzeros
                                      : stats.generator_nonzeros;
   return static_cast<double>(nonzeros) *
-         static_cast<double>(stats.uniformization_iterations) / wall_seconds;
+         static_cast<double>(stats.iterations) / wall_seconds;
+}
+
+/// The fields every per-configuration record shares after its labels:
+/// delta, the chain's size, the engine counters (read through the
+/// embedded engine::BackendStats), spmv throughput, peak RSS, wall time.
+inline BenchRecord& add_solve_fields(BenchRecord& record,
+                                     const core::ApproximationStats& stats,
+                                     double delta, double wall_seconds) {
+  const engine::BackendStats& backend = stats;
+  return record.field("delta", delta)
+      .field("states", stats.expanded_states)
+      .field("nonzeros", stats.generator_nonzeros)
+      .field("iterations", backend.iterations)
+      .field("iterations_saved", backend.iterations_saved)
+      .field("active_states", backend.active_states)
+      .field("active_nonzeros", backend.active_nonzeros)
+      .field("matrix_bandwidth", backend.matrix_bandwidth)
+      .field("groupable_rows", backend.groupable_rows)
+      .field("longest_uniform_run", backend.longest_uniform_run)
+      .field("diagonal_rows", backend.diagonal_rows)
+      .field("longest_diagonal_run", backend.longest_diagonal_run)
+      .field("krylov_dim", backend.krylov_dim)
+      .field("substeps", backend.substeps)
+      .field("hessenberg_expms", backend.hessenberg_expms)
+      .field("krylov_ortho_work", backend.krylov_ortho_work)
+      .field("ooc_tiles", backend.ooc_tiles)
+      .field("ooc_tile_reads", backend.ooc_tile_reads)
+      .field("ooc_prefetch_hits", backend.ooc_prefetch_hits)
+      .field("ooc_bytes_streamed", backend.ooc_bytes_streamed)
+      .field("ooc_spill_bytes", backend.ooc_spill_bytes)
+      .field("shards", backend.shards)
+      .field("halo_bytes_per_step", backend.halo_bytes_per_step)
+      .field("halo_wait_ns", backend.halo_wait_ns)
+      .field("shard_nnz_imbalance", backend.shard_nnz_imbalance)
+      .field("spmv_throughput", spmv_throughput(stats, wall_seconds))
+      .field("peak_rss_bytes", common::peak_rss_bytes())
+      .field("wall_seconds", wall_seconds);
 }
 
 /// Appends the standard per-configuration record (engine, delta, states,
@@ -291,80 +328,25 @@ inline double spmv_throughput(const core::ApproximationStats& stats,
 /// throughput, wall time); returns it for driver-specific extra fields.
 inline BenchRecord& add_engine_record(BenchReport& report,
                                       const EngineRun& run, double delta) {
-  return report.add_record()
-      .field("engine", run.stats.engine)
-      .field("kernels", active_kernel_name())
-      .field("reorder", run.stats.reorder)
-      .field("delta", delta)
-      .field("states", run.stats.expanded_states)
-      .field("nonzeros", run.stats.generator_nonzeros)
-      .field("iterations", run.stats.uniformization_iterations)
-      .field("iterations_saved", run.stats.iterations_saved)
-      .field("active_states", run.stats.active_states)
-      .field("active_nonzeros", run.stats.active_nonzeros)
-      .field("matrix_bandwidth", run.stats.matrix_bandwidth)
-      .field("groupable_rows", run.stats.groupable_rows)
-      .field("longest_uniform_run", run.stats.longest_uniform_run)
-      .field("diagonal_rows", run.stats.diagonal_rows)
-      .field("longest_diagonal_run", run.stats.longest_diagonal_run)
-      .field("krylov_dim", run.stats.krylov_dim)
-      .field("substeps", run.stats.substeps)
-      .field("hessenberg_expms", run.stats.hessenberg_expms)
-      .field("krylov_ortho_work", run.stats.krylov_ortho_work)
-      .field("ooc_tiles", run.stats.ooc_tiles)
-      .field("ooc_tile_reads", run.stats.ooc_tile_reads)
-      .field("ooc_prefetch_hits", run.stats.ooc_prefetch_hits)
-      .field("ooc_bytes_streamed", run.stats.ooc_bytes_streamed)
-      .field("ooc_spill_bytes", run.stats.ooc_spill_bytes)
-      .field("shards", run.stats.shards)
-      .field("halo_bytes_per_step", run.stats.halo_bytes_per_step)
-      .field("halo_wait_ns", run.stats.halo_wait_ns)
-      .field("shard_nnz_imbalance", run.stats.shard_nnz_imbalance)
-      .field("spmv_throughput", spmv_throughput(run.stats, run.wall_seconds))
-      .field("peak_rss_bytes", common::peak_rss_bytes())
-      .field("wall_seconds", run.wall_seconds);
+  BenchRecord& record = report.add_record()
+                            .field("engine", run.stats.engine)
+                            .field("kernels", active_kernel_name())
+                            .field("reorder", run.stats.reorder);
+  return add_solve_fields(record, run.stats, delta, run.wall_seconds);
 }
 
-/// Per-scenario record of a batched solve: same core fields as
+/// Per-scenario record of a batched solve: same fields as
 /// add_engine_record plus the scenario label, so the trajectory tooling
 /// reads batched and sequential runs uniformly.
 inline BenchRecord& add_scenario_record(BenchReport& report,
                                         const engine::ScenarioResult& result,
                                         double delta) {
-  return report.add_record()
-      .field("engine", result.stats.engine)
-      .field("kernels", active_kernel_name())
-      .field("reorder", result.stats.reorder)
-      .field("scenario", result.label)
-      .field("delta", delta)
-      .field("states", result.stats.expanded_states)
-      .field("nonzeros", result.stats.generator_nonzeros)
-      .field("iterations", result.stats.uniformization_iterations)
-      .field("iterations_saved", result.stats.iterations_saved)
-      .field("active_states", result.stats.active_states)
-      .field("active_nonzeros", result.stats.active_nonzeros)
-      .field("matrix_bandwidth", result.stats.matrix_bandwidth)
-      .field("groupable_rows", result.stats.groupable_rows)
-      .field("longest_uniform_run", result.stats.longest_uniform_run)
-      .field("diagonal_rows", result.stats.diagonal_rows)
-      .field("longest_diagonal_run", result.stats.longest_diagonal_run)
-      .field("krylov_dim", result.stats.krylov_dim)
-      .field("substeps", result.stats.substeps)
-      .field("hessenberg_expms", result.stats.hessenberg_expms)
-      .field("krylov_ortho_work", result.stats.krylov_ortho_work)
-      .field("ooc_tiles", result.stats.ooc_tiles)
-      .field("ooc_tile_reads", result.stats.ooc_tile_reads)
-      .field("ooc_prefetch_hits", result.stats.ooc_prefetch_hits)
-      .field("ooc_bytes_streamed", result.stats.ooc_bytes_streamed)
-      .field("ooc_spill_bytes", result.stats.ooc_spill_bytes)
-      .field("shards", result.stats.shards)
-      .field("halo_bytes_per_step", result.stats.halo_bytes_per_step)
-      .field("halo_wait_ns", result.stats.halo_wait_ns)
-      .field("shard_nnz_imbalance", result.stats.shard_nnz_imbalance)
-      .field("spmv_throughput",
-             spmv_throughput(result.stats, result.wall_seconds))
-      .field("peak_rss_bytes", common::peak_rss_bytes())
-      .field("wall_seconds", result.wall_seconds);
+  BenchRecord& record = report.add_record()
+                            .field("engine", result.stats.engine)
+                            .field("kernels", active_kernel_name())
+                            .field("reorder", result.stats.reorder)
+                            .field("scenario", result.label);
+  return add_solve_fields(record, result.stats, delta, result.wall_seconds);
 }
 
 /// Aggregate record of one ScenarioBatch::solve_all: batch wall-clock vs

@@ -16,9 +16,8 @@
 #include "kibamrm/core/simulator.hpp"
 #include "kibamrm/workload/simple_model.hpp"
 
-int main(int argc, char** argv) {
+int run(kibamrm::common::CliArgs& args) {
   using namespace kibamrm;
-  common::CliArgs args(argc, argv);
   args.declare("csv").declare("full").declare("points").declare("runs");
   args.validate();
   const auto runs = static_cast<std::size_t>(args.get_int("runs", 1000));
@@ -81,4 +80,8 @@ int main(int argc, char** argv) {
             << "  p_empty(25 h) C=800 exact: "
             << io::format_double(curves[6].probability_at(25.0), 4) << '\n';
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return kibamrm::common::run_main(argc, argv, run);
 }

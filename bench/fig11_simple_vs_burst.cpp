@@ -15,9 +15,8 @@
 #include "kibamrm/workload/burst_model.hpp"
 #include "kibamrm/workload/simple_model.hpp"
 
-int main(int argc, char** argv) {
+int run(kibamrm::common::CliArgs& args) {
   using namespace kibamrm;
-  common::CliArgs args(argc, argv);
   args.declare("csv").declare("full").declare("points").declare("delta");
   args.validate();
   const double delta = args.get_double("delta", 5.0);
@@ -65,4 +64,8 @@ int main(int argc, char** argv) {
             << io::format_double(curves[1].probability_at(20.0), 4)
             << " (paper ~0.89)\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return kibamrm::common::run_main(argc, argv, run);
 }

@@ -7,9 +7,8 @@
 #include "kibamrm/battery/kibam.hpp"
 #include "kibamrm/battery/lifetime.hpp"
 
-int main(int argc, char** argv) {
+int run(kibamrm::common::CliArgs& args) {
   using namespace kibamrm;
-  common::CliArgs args(argc, argv);
   args.declare("csv").declare("full").declare("step");
   args.validate();
   const double step = args.get_double("step", 100.0);
@@ -36,4 +35,8 @@ int main(int argc, char** argv) {
             << "Battery empty at t = " << samples.back().time << " s (y1 = "
             << samples.back().available << ").\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return kibamrm::common::run_main(argc, argv, run);
 }

@@ -17,9 +17,8 @@
 #include "kibamrm/engine/transient_backend.hpp"
 #include "kibamrm/workload/onoff_model.hpp"
 
-int main(int argc, char** argv) {
+int run(kibamrm::common::CliArgs& args) {
   using namespace kibamrm;
-  common::CliArgs args(argc, argv);
   args.declare("csv").declare("full").declare("points").declare("delta")
       .declare("runs").declare("engine").declare("json").declare("threads")
       .declare("no-fuse").declare("no-detect").declare("kernels")
@@ -104,4 +103,8 @@ int main(int argc, char** argv) {
               << io::format_double(curves[i].median(), 0) << " s\n";
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return kibamrm::common::run_main(argc, argv, run);
 }

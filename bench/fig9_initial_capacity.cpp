@@ -13,9 +13,8 @@
 #include "kibamrm/core/simulator.hpp"
 #include "kibamrm/workload/onoff_model.hpp"
 
-int main(int argc, char** argv) {
+int run(kibamrm::common::CliArgs& args) {
   using namespace kibamrm;
-  common::CliArgs args(argc, argv);
   args.declare("csv").declare("full").declare("points").declare("delta");
   args.validate();
   // c = 1 chains are single-well and cheap: Delta = 5 is fine by default;
@@ -81,4 +80,8 @@ int main(int argc, char** argv) {
               << io::format_double(curves[i].median(), 0) << " s\n";
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return kibamrm::common::run_main(argc, argv, run);
 }

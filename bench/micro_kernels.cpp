@@ -151,12 +151,10 @@ BENCHMARK(BM_KernelDotSharded)
 
 void BM_FusedGatherPlanKernelTier(benchmark::State& state) {
   // The fused gather through an explicit tier pin (the unsuffixed
-  // BM_FusedGatherPlanKernel below runs the production default): scalar
-  // per-length switch vs the opt-in AVX2 row-group gathers, same bits
-  // out.  This bench is why the grouping defaults off -- watch it per
-  // microarchitecture before flipping kernels::set_gather_grouping.
+  // BM_FusedGatherPlanKernel below runs the production default): the
+  // scalar per-length switch on a chain without uniform segments, the
+  // path every tier takes there.
   if (!select_tier(state)) return;
-  k::set_gather_grouping(state.range(1) == 1);
   const auto n = static_cast<std::size_t>(state.range(0));
   const linalg::CsrMatrix pt = banded_stochastic(n).transposed();
   const auto plan = linalg::FusedGatherPlan::build(pt);
@@ -169,13 +167,10 @@ void BM_FusedGatherPlanKernelTier(benchmark::State& state) {
     pi.swap(out);
   }
   k::clear_dispatch();
-  k::set_gather_grouping(false);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(plan->nonzeros()));
 }
-BENCHMARK(BM_FusedGatherPlanKernelTier)
-    ->Args({100000, 0})->Args({100000, 1})
-    ->Args({1000000, 0})->Args({1000000, 1});
+BENCHMARK(BM_FusedGatherPlanKernelTier)->Args({100000, 0})->Args({1000000, 0});
 
 void BM_FusedGatherReordered(benchmark::State& state) {
   // The production fused gather on the *real* Delta = 25 fig8 chain,
@@ -289,35 +284,6 @@ void BM_FusedGatherPlanKernel(benchmark::State& state) {
                           static_cast<std::int64_t>(plan->nonzeros()));
 }
 BENCHMARK(BM_FusedGatherPlanKernel)->Arg(10000)->Arg(100000)->Arg(1000000);
-
-void BM_CsrLeftMultiplyPartitionedFused(benchmark::State& state) {
-  // The fused scatter variant (spmv + accumulate + delta, absorbing rows
-  // carried over outside the CSR structure).
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const linalg::CsrMatrix p = banded_stochastic(n);
-  const auto identity = p.identity_rows();
-  std::vector<std::uint32_t> active;
-  active.reserve(n - identity.size());
-  std::size_t next_identity = 0;
-  for (std::size_t row = 0; row < n; ++row) {
-    if (next_identity < identity.size() && identity[next_identity] == row) {
-      ++next_identity;
-    } else {
-      active.push_back(static_cast<std::uint32_t>(row));
-    }
-  }
-  std::vector<double> pi(n, 1.0 / static_cast<double>(n));
-  std::vector<double> out(n, 0.0);
-  std::vector<double> accum(n, 0.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(p.left_multiply_partitioned_fused(
-        pi, out, active, identity, 1e-4, accum));
-    pi.swap(out);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(p.nonzeros()));
-}
-BENCHMARK(BM_CsrLeftMultiplyPartitionedFused)->Arg(10000)->Arg(100000);
 
 void BM_FoxGlynnWindow(benchmark::State& state) {
   const double lambda = static_cast<double>(state.range(0));

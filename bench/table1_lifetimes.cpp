@@ -75,8 +75,7 @@ double stochastic_mean_minutes(const LoadProfile& profile, int runs,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  common::CliArgs args(argc, argv);
+int run(kibamrm::common::CliArgs& args) {
   args.declare("csv").declare("full").declare("runs").declare("engine")
       .declare("threads").declare("delta").declare("json")
       .declare("no-fuse").declare("no-detect").declare("kernels")
@@ -189,4 +188,8 @@ int main(int argc, char** argv) {
                "(the paper's central observation); the stochastic column is "
                "our substituted recovery model, not [9]'s exact law.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return kibamrm::common::run_main(argc, argv, run);
 }

@@ -11,13 +11,15 @@
 // thinning.
 #include <iostream>
 
+#include "kibamrm/common/cli.hpp"
 #include "kibamrm/common/units.hpp"
 #include "kibamrm/core/approx_solver.hpp"
 #include "kibamrm/core/simulator.hpp"
 #include "kibamrm/io/table.hpp"
 #include "kibamrm/workload/simple_model.hpp"
 
-int main() {
+int run(kibamrm::common::CliArgs& args) {
+  args.validate();
   using namespace kibamrm;
 
   const battery::KibamParameters cell{
@@ -71,4 +73,8 @@ int main() {
                "fatter right tail: the median barely moves, the 95% "
                "quantile stretches.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return kibamrm::common::run_main(argc, argv, run);
 }

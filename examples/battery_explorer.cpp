@@ -95,8 +95,7 @@ int run(const common::CliArgs& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    common::CliArgs args(argc, argv);
+  return common::run_main(argc, argv, [](common::CliArgs& args) {
     args.declare("lifetime").declare("trajectory").declare("calibrate")
         .declare("peukert").declare("capacity").declare("c").declare("k")
         .declare("current").declare("freq").declare("target-minutes")
@@ -104,8 +103,5 @@ int main(int argc, char** argv) {
         .declare("until").declare("step");
     args.validate();
     return run(args);
-  } catch (const std::exception& error) {
-    std::cerr << "error: " << error.what() << '\n';
-    return 1;
-  }
+  });
 }

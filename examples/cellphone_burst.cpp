@@ -11,6 +11,7 @@
 // quantiles a spec sheet would quote, and the policy recommendation.
 #include <iostream>
 
+#include "kibamrm/common/cli.hpp"
 #include "kibamrm/common/units.hpp"
 #include "kibamrm/core/approx_solver.hpp"
 #include "kibamrm/io/table.hpp"
@@ -18,7 +19,8 @@
 #include "kibamrm/workload/burst_model.hpp"
 #include "kibamrm/workload/simple_model.hpp"
 
-int main() {
+int run(kibamrm::common::CliArgs& args) {
+  args.validate();
   using namespace kibamrm;
 
   const auto eager = workload::make_simple_model();
@@ -67,4 +69,8 @@ int main() {
                "condensed bursts can hit an unlucky battery hard early.  "
                "Quote the 5% quantile accordingly.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return kibamrm::common::run_main(argc, argv, run);
 }

@@ -31,10 +31,9 @@
 #include "kibamrm/io/table.hpp"
 #include "kibamrm/workload/simple_model.hpp"
 
-int main(int argc, char** argv) {
+int run(kibamrm::common::CliArgs& args) {
   using namespace kibamrm;
 
-  common::CliArgs args(argc, argv);
   args.declare("engine").declare("delta").declare("threads")
       .declare("no-fuse").declare("no-detect").declare("kernels")
       .declare("reorder").declare("tile-mb").declare("spill-dir")
@@ -122,4 +121,8 @@ int main(int argc, char** argv) {
             << solver.last_stats().uniformization_iterations
             << " iterations.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return kibamrm::common::run_main(argc, argv, run);
 }

@@ -15,13 +15,15 @@
 #include <iostream>
 #include <vector>
 
+#include "kibamrm/common/cli.hpp"
 #include "kibamrm/battery/kibam.hpp"
 #include "kibamrm/battery/lifetime.hpp"
 #include "kibamrm/core/simulator.hpp"
 #include "kibamrm/io/table.hpp"
 #include "kibamrm/workload/onoff_model.hpp"
 
-int main() {
+int run(kibamrm::common::CliArgs& args) {
+  args.validate();
   using namespace kibamrm;
 
   // AA-class cell from the paper's measurements: 7200 As, c = 0.625,
@@ -70,4 +72,8 @@ int main() {
       << "  - Random wake-ups at the same average duty add spread: plan "
          "deployments on the 5% quantile, not the mean.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return kibamrm::common::run_main(argc, argv, run);
 }

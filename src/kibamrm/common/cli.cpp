@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
+#include <iostream>
 #include <sstream>
 #include <system_error>
 
@@ -149,12 +150,34 @@ CliArgs& CliArgs::declare(const std::string& name) {
 }
 
 void CliArgs::validate() const {
+  if (has("help")) {
+    std::string usage = "usage: " + program_;
+    for (const std::string& name : declared_) usage += " [--" + name + "]";
+    throw HelpRequested(usage);
+  }
   for (const auto& [name, value] : options_) {
     (void)value;
     if (std::find(declared_.begin(), declared_.end(), name) ==
         declared_.end()) {
       throw InvalidArgument("unknown option --" + name);
     }
+  }
+}
+
+int run_main(int argc, const char* const* argv,
+             const std::function<int(CliArgs&)>& body) {
+  try {
+    CliArgs args(argc, argv);
+    return body(args);
+  } catch (const HelpRequested& help) {
+    std::cout << help.what() << '\n';
+    return 0;
+  } catch (const InvalidArgument& error) {
+    std::cerr << "error: " << error.what() << '\n';
+    return 2;
+  } catch (const Error& error) {
+    std::cerr << "error: " << error.what() << '\n';
+    return 1;
   }
 }
 

@@ -2,15 +2,27 @@
 //
 // Supports `--flag`, `--key value` and `--key=value` forms.  Unknown options
 // raise InvalidArgument so typos in bench invocations fail loudly instead of
-// silently running the default configuration.
+// silently running the default configuration.  run_main() is the shared
+// main() of the drivers: it turns those errors into exit codes instead of
+// an uncaught-exception abort, and answers --help.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "kibamrm/common/error.hpp"
+
 namespace kibamrm::common {
+
+/// Thrown by CliArgs::validate() when the command line asks for --help;
+/// what() is the usage text listing the declared options.
+class HelpRequested : public Error {
+ public:
+  using Error::Error;
+};
 
 /// Parsed command line.  Construct once from argc/argv, then query options.
 class CliArgs {
@@ -66,7 +78,8 @@ class CliArgs {
   const std::string& program() const { return program_; }
 
   /// Registers `name` as known; returns *this for chaining.  After all
-  /// declare() calls, validate() throws on any unknown option.
+  /// declare() calls, validate() throws HelpRequested when --help was
+  /// given, and InvalidArgument on any unknown option.
   CliArgs& declare(const std::string& name);
   void validate() const;
 
@@ -82,5 +95,13 @@ class CliArgs {
   std::vector<std::string> positional_;
   std::vector<std::string> declared_;
 };
+
+/// The main() of every bench and example driver: parses argv, runs `body`
+/// and returns its exit status.  --help prints the declared options and
+/// returns 0; InvalidArgument (a bad flag or value) prints one line to
+/// stderr and returns 2; any other kibamrm::Error prints one line and
+/// returns 1.
+int run_main(int argc, const char* const* argv,
+             const std::function<int(CliArgs&)>& body);
 
 }  // namespace kibamrm::common

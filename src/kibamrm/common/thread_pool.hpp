@@ -9,7 +9,7 @@
 // too: a pool of size 1 degenerates to a plain inline loop with no
 // synchronisation at all.
 //
-// Users: engine/ParallelUniformizationBackend (sharded spmv) and
+// Users: engine/ParallelBackend (sharded gather step) and
 // engine/ScenarioBatch (concurrent scenario solves with per-lane scratch).
 #pragma once
 

@@ -35,37 +35,9 @@ MarkovianApproximation::MarkovianApproximation(const KibamRmModel& model,
 LifetimeCurve MarkovianApproximation::solve(const std::vector<double>& times) {
   LifetimeCurve curve = solve_empty_probability_curve(expanded_, *backend_,
                                                       times, options_.epsilon);
-  absorb_backend_stats(stats_, backend_->last_stats());
+  static_cast<engine::BackendStats&>(stats_) = backend_->last_stats();
+  stats_.uniformization_iterations = stats_.iterations;
   return curve;
-}
-
-void absorb_backend_stats(ApproximationStats& stats,
-                          const engine::BackendStats& backend) {
-  stats.uniformization_iterations = backend.iterations;
-  stats.uniformization_rate = backend.uniformization_rate;
-  stats.iterations_saved = backend.iterations_saved;
-  stats.windows_computed = backend.windows_computed;
-  stats.windows_reused = backend.windows_reused;
-  stats.active_states = backend.active_states;
-  stats.active_nonzeros = backend.active_nonzeros;
-  stats.krylov_dim = backend.krylov_dim;
-  stats.substeps = backend.substeps;
-  stats.hessenberg_expms = backend.hessenberg_expms;
-  stats.krylov_ortho_work = backend.krylov_ortho_work;
-  stats.matrix_bandwidth = backend.matrix_bandwidth;
-  stats.groupable_rows = backend.groupable_rows;
-  stats.longest_uniform_run = backend.longest_uniform_run;
-  stats.diagonal_rows = backend.diagonal_rows;
-  stats.longest_diagonal_run = backend.longest_diagonal_run;
-  stats.shards = backend.shards;
-  stats.halo_bytes_per_step = backend.halo_bytes_per_step;
-  stats.halo_wait_ns = backend.halo_wait_ns;
-  stats.shard_nnz_imbalance = backend.shard_nnz_imbalance;
-  stats.ooc_tiles = backend.ooc_tiles;
-  stats.ooc_tile_reads = backend.ooc_tile_reads;
-  stats.ooc_prefetch_hits = backend.ooc_prefetch_hits;
-  stats.ooc_bytes_streamed = backend.ooc_bytes_streamed;
-  stats.ooc_spill_bytes = backend.ooc_spill_bytes;
 }
 
 LifetimeCurve solve_empty_probability_curve(const ExpandedChain& expanded,

@@ -1,23 +1,274 @@
 #include "kibamrm/engine/ooc_backend.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <thread>
 
 #include "kibamrm/common/spill_io.hpp"
+#include "kibamrm/common/thread_annotations.hpp"
+#include "kibamrm/linalg/tile_store.hpp"
 #include "kibamrm/linalg/vector_ops.hpp"
 
 namespace kibamrm::engine {
 
 namespace {
 constexpr std::size_t kNoTile = std::numeric_limits<std::size_t>::max();
+
+/// The tile-stream step operator: one DTMC step sweeps every tile of the
+/// spill store once, out = power * P in compact space with the fused
+/// Poisson accumulation, and returns the sup-norm delta (max over shards
+/// -- partition- and lane-independent).
+class TileStream final : public markov::StepOperator {
+ public:
+  TileStream(linalg::TileStore& store, common::ThreadPool& pool,
+             BackendStats& stats)
+      : store_(store),
+        pool_(pool),
+        stats_(stats),
+        tile_count_(store.tile_count()),
+        lanes_(pool.thread_count()),
+        // Same pool-engagement policy as plan_gather_shards: below ~16k
+        // stored entries one step costs less than waking the pool.
+        use_pool_(lanes_ > 1 && store.nonzeros() + store.rows() >= 16384),
+        parts_per_tile_(use_pool_ ? 4 * lanes_ : 1),
+        tile_ranges_(tile_count_),
+        tile_ready_(std::make_unique<std::atomic<std::uint32_t>[]>(
+            tile_count_)),
+        tile_claim_(
+            std::make_unique<std::atomic<std::size_t>[]>(tile_count_)),
+        tile_done_(
+            std::make_unique<std::atomic<std::size_t>[]>(tile_count_)),
+        tile_stalled_(std::make_unique<std::atomic<std::uint32_t>[]>(
+            tile_count_)),
+        lane_deltas_(lanes_, 0.0),
+        power_(store.rows(), 0.0),
+        next_(store.rows(), 0.0) {}
+
+  void describe(markov::TransientStats& stats) const override {
+    stats.active_nonzeros = store_.nonzeros();
+    stats.matrix_bandwidth = store_.build_stats().bandwidth;
+    stats.diagonal_rows = store_.build_stats().diagonal_rows;
+    stats.longest_diagonal_run = store_.build_stats().longest_diagonal_run;
+  }
+
+  void load(const std::vector<double>& current) override { power_ = current; }
+
+  double step(double weight, std::vector<double>& accum) override {
+    const double delta =
+        use_pool_ ? pooled_sweep(weight, accum) : inline_sweep(weight, accum);
+    power_.swap(next_);
+    return delta;
+  }
+
+  void fold(double residual, std::vector<double>& accum) override {
+    linalg::axpy(residual, power_, accum);
+  }
+
+ private:
+  void load_into(std::size_t tile, std::size_t buffer);
+  template <typename Ready>
+  bool wait_until(Ready&& ready);
+  double inline_sweep(double weight, std::vector<double>& accum);
+  double pooled_sweep(double weight, std::vector<double>& accum);
+
+  linalg::TileStore& store_;
+  common::ThreadPool& pool_;
+  BackendStats& stats_;
+  const std::size_t tile_count_;
+  const std::size_t lanes_;
+  const bool use_pool_;
+  const std::size_t parts_per_tile_;
+  // Tile residency state for the double-buffered stream.  Tile t always
+  // lives in buffer t % 2, so consecutive tiles occupy alternating
+  // buffers and "buffer t % 2 is free" is exactly "tile t - 2 is done".
+  // buffers_[i] holds tile held_[i] (kNoTile when empty).
+  common::AlignedBuffer buffers_[2];
+  std::size_t held_[2] = {kNoTile, kNoTile};
+  // Entry-balanced local row ranges per tile, computed at first load (the
+  // per-row entry table lives in the slab).
+  std::vector<std::vector<std::size_t>> tile_ranges_;
+  // Per-tile pipeline state of one streamed step, shared by the single
+  // pool dispatch that runs the whole sweep: tile_ready_ flips when the
+  // IO role has the tile in its buffer, tile_claim_/tile_done_ hand out
+  // and retire compute shards, tile_stalled_ records that a compute lane
+  // had to wait (the complement of a prefetch hit).
+  //
+  // KIBAMRM_LOCK_FREE: the pipeline is a release-acquire hand-off chain.
+  // The IO lane decodes tile t into buffers_[t%2] and then STORES
+  // tile_ready_[t] with release; a compute lane LOADS it with acquire
+  // before touching the buffer, so the decoded slab happens-before every
+  // shard that reads it.  tile_claim_ hands out disjoint shard indices
+  // (fetch_add, relaxed -- same argument as ThreadPool::next_);
+  // tile_done_ retires them with release so the IO lane's acquire spin
+  // on it sees all shard writes before recycling the buffer for tile
+  // t+2.  tile_stalled_ is a relaxed telemetry flag (its value never
+  // gates an access).  Any mutex here would serialise the very overlap
+  // the double buffer exists to create.
+  std::unique_ptr<std::atomic<std::uint32_t>[]> tile_ready_
+      KIBAMRM_LOCK_FREE("release publish of the decoded slab, see above");
+  std::unique_ptr<std::atomic<std::size_t>[]> tile_claim_
+      KIBAMRM_LOCK_FREE("disjoint shard claims, relaxed fetch_add");
+  std::unique_ptr<std::atomic<std::size_t>[]> tile_done_
+      KIBAMRM_LOCK_FREE("release retire / acquire spin recycles buffers");
+  std::unique_ptr<std::atomic<std::uint32_t>[]> tile_stalled_
+      KIBAMRM_LOCK_FREE("telemetry only; never gates an access");
+  // First failure inside the pipeline; waits abort on it so a throwing
+  // read (corrupt spill file) can never deadlock the step.
+  std::atomic<bool> step_abort_{false} KIBAMRM_LOCK_FREE(
+      "monotonic abort flag; the failure itself rides the pool's rethrow");
+  // Per-lane sup-norm partials of one streamed step (reduced by max, so
+  // the result is independent of which lane ran which shard).
+  std::vector<double> lane_deltas_;
+  std::vector<double> power_;
+  std::vector<double> next_;
+};
+
+void TileStream::load_into(std::size_t tile, std::size_t buffer) {
+  store_.read_tile(tile, buffers_[buffer]);
+  held_[buffer] = tile;
+  ++stats_.ooc_tile_reads;
+  stats_.ooc_bytes_streamed += store_.tile_slab_bytes(tile);
+  if (tile_ranges_[tile].empty()) {
+    // Shards scale with the tile's stored entries: a small tile split
+    // into 4 * lanes slivers costs more in dispatch than the multiply,
+    // and the partition never changes results (each row's value is
+    // partition-independent, the step delta is a max over shards).
+    const std::size_t parts = std::min<std::size_t>(
+        parts_per_tile_,
+        std::max<std::size_t>(1, store_.tile_entries(tile) / 2048));
+    tile_ranges_[tile] =
+        store_.balanced_tile_ranges(tile, buffers_[buffer], parts);
+  }
+}
+
+// Spin-then-yield wait; bails (returning false) once a pipeline role
+// recorded a failure, so a throwing tile read cannot deadlock the step.
+template <typename Ready>
+bool TileStream::wait_until(Ready&& ready) {
+  for (std::uint32_t spins = 0; !ready(); ++spins) {
+    if (step_abort_.load(std::memory_order_acquire)) return false;
+    if (spins > 64) std::this_thread::yield();
+  }
+  return true;
+}
+
+// Sequential sweep; the two buffers still retain a one- or two-tile store
+// across steps.
+double TileStream::inline_sweep(double weight, std::vector<double>& accum) {
+  double delta = 0.0;
+  for (std::size_t t = 0; t < tile_count_; ++t) {
+    const std::size_t buffer = t % 2;
+    if (held_[buffer] == t) {
+      ++stats_.ooc_prefetch_hits;
+    } else {
+      if (tile_count_ > 1) store_.prefetch_tile(t);
+      load_into(t, buffer);
+    }
+    const std::vector<std::size_t>& ranges = tile_ranges_[t];
+    for (std::size_t s = 0; s + 1 < ranges.size(); ++s) {
+      delta = std::max(delta, store_.multiply_fused_tile(
+                                  t, buffers_[buffer], power_, next_, accum,
+                                  weight, ranges[s], ranges[s + 1]));
+    }
+  }
+  return delta;
+}
+
+// ONE parallel_for for the whole sweep.  The first role is the IO driver
+// -- it streams tile t into buffer t % 2 as soon as the buffer's previous
+// occupant (tile t - 2) retires, then joins compute.  The remaining roles
+// claim compute shards tile by tile as tiles become ready.  Dispatching
+// per step instead of per tile keeps the pool wake-up cost amortised even
+// when tiles are small.
+double TileStream::pooled_sweep(double weight, std::vector<double>& accum) {
+  step_abort_.store(false, std::memory_order_relaxed);
+  for (std::size_t t = 0; t < tile_count_; ++t) {
+    // Tiles already sitting in their buffer skip the IO role entirely.
+    // Only the first two tiles may be treated as resident: any later
+    // tile's buffer is recycled by the sweep before compute reaches it,
+    // so a leftover from the previous step's tail is not reusable.
+    tile_ready_[t].store(t < 2 && held_[t % 2] == t ? 1 : 0,
+                         std::memory_order_relaxed);
+    tile_claim_[t].store(0, std::memory_order_relaxed);
+    tile_done_[t].store(0, std::memory_order_relaxed);
+    tile_stalled_[t].store(0, std::memory_order_relaxed);
+  }
+  std::fill(lane_deltas_.begin(), lane_deltas_.end(), 0.0);
+
+  const auto compute_role = [&](std::size_t lane) {
+    double delta = lane_deltas_[lane];
+    for (std::size_t t = 0; t < tile_count_; ++t) {
+      if (tile_ready_[t].load(std::memory_order_acquire) == 0) {
+        tile_stalled_[t].store(1, std::memory_order_relaxed);
+        if (!wait_until([&] {
+              return tile_ready_[t].load(std::memory_order_acquire) != 0;
+            })) {
+          break;
+        }
+      }
+      const std::vector<std::size_t>& ranges = tile_ranges_[t];
+      const std::size_t shard_count = ranges.size() - 1;
+      while (true) {
+        const std::size_t shard =
+            tile_claim_[t].fetch_add(1, std::memory_order_relaxed);
+        if (shard >= shard_count) break;
+        delta = std::max(delta, store_.multiply_fused_tile(
+                                    t, buffers_[t % 2], power_, next_, accum,
+                                    weight, ranges[shard], ranges[shard + 1]));
+        tile_done_[t].fetch_add(1, std::memory_order_release);
+      }
+    }
+    lane_deltas_[lane] = delta;
+  };
+
+  pool_.parallel_for(lanes_, [&](std::size_t role, std::size_t lane) {
+    if (role == 0) {
+      try {
+        for (std::size_t t = 0; t < tile_count_; ++t) {
+          if (tile_ready_[t].load(std::memory_order_relaxed) != 0) {
+            continue;  // resident from the previous step
+          }
+          if (t >= 2) {
+            // Buffer t % 2 frees once every shard of tile t - 2 retired.
+            const std::size_t prior_shards = tile_ranges_[t - 2].size() - 1;
+            if (!wait_until([&] {
+                  return tile_done_[t - 2].load(std::memory_order_acquire) ==
+                         prior_shards;
+                })) {
+              return;
+            }
+          }
+          store_.prefetch_tile(t);
+          load_into(t, t % 2);
+          tile_ready_[t].store(1, std::memory_order_release);
+        }
+      } catch (...) {
+        step_abort_.store(true, std::memory_order_release);
+        throw;  // parallel_for rethrows the first failure
+      }
+    }
+    compute_role(lane);
+  });
+
+  double delta = 0.0;
+  for (std::size_t lane = 0; lane < lanes_; ++lane) {
+    delta = std::max(delta, lane_deltas_[lane]);
+  }
+  for (std::size_t t = 0; t < tile_count_; ++t) {
+    if (tile_stalled_[t].load(std::memory_order_relaxed) == 0) {
+      ++stats_.ooc_prefetch_hits;
+    }
+  }
+  return delta;
+}
+
 }  // namespace
 
 OutOfCoreBackend::OutOfCoreBackend(BackendOptions options)
     : options_(std::move(options)),
-      pool_(std::make_unique<common::ThreadPool>(options_.threads)) {
-  KIBAMRM_REQUIRE(options_.epsilon > 0.0 && options_.epsilon < 1.0,
-                  "transient epsilon must lie in (0,1)");
+      pool_(std::make_unique<common::ThreadPool>(options_.threads)),
+      driver_(transient_options(options_)) {
   KIBAMRM_REQUIRE(options_.tile_bytes >= 1,
                   "ooc tile_bytes must be positive");
 }
@@ -25,25 +276,16 @@ OutOfCoreBackend::OutOfCoreBackend(BackendOptions options)
 std::vector<std::vector<double>> OutOfCoreBackend::solve(
     const markov::Ctmc& chain, const std::vector<double>& initial,
     const std::vector<double>& times, const PointCallback& on_point) {
-  check_arguments(chain, initial, times);
-
-  double rate = options_.uniformization_rate;
-  if (rate == 0.0) {
-    rate = 1.02 * chain.max_exit_rate();
-    if (rate == 0.0) rate = 1.0;  // generator is all-absorbing
-  }
-  KIBAMRM_REQUIRE(rate * (1.0 + 1e-12) >= chain.max_exit_rate(),
-                  "uniformization rate below maximal exit rate");
+  markov::check_transient_arguments(chain, initial, times);
+  const double rate =
+      markov::resolve_uniformization_rate(chain, options_.uniformization_rate);
 
   // Reachable closure over P's sparsity pattern without materialising P
   // (bitwise equal to uniformized(rate).reachable_rows; the diagonal
   // never adds reachability).
-  std::vector<std::uint32_t> seeds;
-  for (std::size_t i = 0; i < initial.size(); ++i) {
-    if (initial[i] != 0.0) seeds.push_back(static_cast<std::uint32_t>(i));
-  }
   const std::vector<std::uint32_t> reachable =
-      linalg::tile_store_reachable_rows(chain.generator(), seeds, rate);
+      linalg::tile_store_reachable_rows(chain.generator(),
+                                        markov::support_of(initial), rate);
 
   // Encode the compacted transposed P band by band into the spill file.
   // Peak transient memory here is the generator (owned by the caller's
@@ -59,271 +301,12 @@ std::vector<std::vector<double>> OutOfCoreBackend::solve(
       chain.generator(), reachable, rate, store_options, spill_path);
   store.unlink_keeping_open();  // space reclaims even on abnormal exit
 
-  const std::size_t tile_count = store.tile_count();
-  const std::size_t loop_rows = store.rows();
-
   stats_ = BackendStats{};
-  stats_.uniformization_rate = rate;
-  stats_.time_points = times.size();
-  stats_.active_states = reachable.size();
-  stats_.active_nonzeros = store.nonzeros();
-  stats_.matrix_bandwidth = store.build_stats().bandwidth;
-  stats_.diagonal_rows = store.build_stats().diagonal_rows;
-  stats_.longest_diagonal_run = store.build_stats().longest_diagonal_run;
-  stats_.ooc_tiles = tile_count;
+  stats_.ooc_tiles = store.tile_count();
   stats_.ooc_spill_bytes = store.file_bytes();
-  const std::uint64_t windows_computed_before = plan_.windows_computed();
-  const std::uint64_t windows_reused_before = plan_.windows_reused();
-
-  // Same pool-engagement policy as plan_gather_shards: below ~16k stored
-  // entries one step costs less than waking the pool.
-  const std::size_t lanes = pool_->thread_count();
-  const bool use_pool =
-      lanes > 1 && store.nonzeros() + store.rows() >= 16384;
-  const std::size_t parts_per_tile = use_pool ? 4 * lanes : 1;
-
-  // Tile residency state for the double-buffered stream.  Tile t always
-  // lives in buffer t % 2, so consecutive tiles occupy alternating
-  // buffers and "buffer t % 2 is free" is exactly "tile t - 2 is done".
-  std::size_t held[2] = {kNoTile, kNoTile};
-  // Entry-balanced local row ranges per tile, computed at first load (the
-  // per-row entry table lives in the slab).
-  std::vector<std::vector<std::size_t>> tile_ranges(tile_count);
-
-  const auto load_into = [&](std::size_t tile, std::size_t buffer) {
-    store.read_tile(tile, buffers_[buffer]);
-    held[buffer] = tile;
-    ++stats_.ooc_tile_reads;
-    stats_.ooc_bytes_streamed += store.tile_slab_bytes(tile);
-    if (tile_ranges[tile].empty()) {
-      // Shards scale with the tile's stored entries: a small tile split
-      // into 4 * lanes slivers costs more in dispatch than the multiply,
-      // and the partition never changes results (each row's value is
-      // partition-independent, the step delta is a max over shards).
-      const std::size_t parts = std::min<std::size_t>(
-          parts_per_tile,
-          std::max<std::size_t>(1, store.tile_entries(tile) / 2048));
-      tile_ranges[tile] =
-          store.balanced_tile_ranges(tile, buffers_[buffer], parts);
-    }
-  };
-
-  // Pipeline state shared by the one pool dispatch per streamed step.
-  tile_ready_ = std::make_unique<std::atomic<std::uint32_t>[]>(tile_count);
-  tile_claim_ = std::make_unique<std::atomic<std::size_t>[]>(tile_count);
-  tile_done_ = std::make_unique<std::atomic<std::size_t>[]>(tile_count);
-  tile_stalled_ =
-      std::make_unique<std::atomic<std::uint32_t>[]>(tile_count);
-  lane_deltas_.assign(lanes, 0.0);
-
-  // Spin-then-yield wait; bails (returning false) once a pipeline role
-  // recorded a failure, so a throwing tile read cannot deadlock the step.
-  const auto wait_until = [&](auto&& ready) -> bool {
-    for (std::uint32_t spins = 0; !ready(); ++spins) {
-      if (step_abort_.load(std::memory_order_acquire)) return false;
-      if (spins > 64) std::this_thread::yield();
-    }
-    return true;
-  };
-
-  const bool detect = options_.steady_state_detection;
-  const double threshold = options_.epsilon / 2.0;
-
-  std::vector<std::vector<double>> results;
-  if (options_.collect_distributions) results.reserve(times.size());
-
-  std::vector<double> current(reachable.size());  // pi(t_k), compact space
-  for (std::size_t i = 0; i < reachable.size(); ++i) {
-    current[i] = initial[reachable[i]];
-  }
-  full_point_.assign(initial.size(), 0.0);
-  next_.assign(current.size(), 0.0);
-  accum_.assign(current.size(), 0.0);
-  double current_time = 0.0;
-
-  // One streamed DTMC step: sweep every tile once, out = power * P in
-  // compact space, fused Poisson accumulation, returns the sup-norm
-  // delta (max over shards -- partition- and lane-independent).
-  //
-  // Pool path: ONE parallel_for for the whole sweep.  The first role is
-  // the IO driver -- it streams tile t into buffer t % 2 as soon as the
-  // buffer's previous occupant (tile t - 2) retires, then joins compute.
-  // The remaining roles claim compute shards tile by tile as tiles become
-  // ready.  Dispatching per step instead of per tile keeps the pool
-  // wake-up cost amortised even when tiles are small.
-  const auto streamed_step = [&](double weight) -> double {
-    if (!use_pool) {
-      // Inline path: sequential sweep; the two buffers still retain a
-      // one- or two-tile store across steps.
-      double delta = 0.0;
-      for (std::size_t t = 0; t < tile_count; ++t) {
-        const std::size_t buffer = t % 2;
-        if (held[buffer] == t) {
-          ++stats_.ooc_prefetch_hits;
-        } else {
-          if (tile_count > 1) store.prefetch_tile(t);
-          load_into(t, buffer);
-        }
-        const std::vector<std::size_t>& ranges = tile_ranges[t];
-        for (std::size_t s = 0; s + 1 < ranges.size(); ++s) {
-          delta = std::max(delta, store.multiply_fused_tile(
-                                      t, buffers_[buffer], power_, next_,
-                                      accum_, weight, ranges[s],
-                                      ranges[s + 1]));
-        }
-      }
-      return delta;
-    }
-
-    step_abort_.store(false, std::memory_order_relaxed);
-    for (std::size_t t = 0; t < tile_count; ++t) {
-      // Tiles already sitting in their buffer skip the IO role entirely.
-      // Only the first two tiles may be treated as resident: any later
-      // tile's buffer is recycled by the sweep before compute reaches it,
-      // so a leftover from the previous step's tail is not reusable.
-      tile_ready_[t].store(t < 2 && held[t % 2] == t ? 1 : 0,
-                           std::memory_order_relaxed);
-      tile_claim_[t].store(0, std::memory_order_relaxed);
-      tile_done_[t].store(0, std::memory_order_relaxed);
-      tile_stalled_[t].store(0, std::memory_order_relaxed);
-    }
-    std::fill(lane_deltas_.begin(), lane_deltas_.end(), 0.0);
-
-    const auto compute_role = [&](std::size_t lane) {
-      double delta = lane_deltas_[lane];
-      for (std::size_t t = 0; t < tile_count; ++t) {
-        if (tile_ready_[t].load(std::memory_order_acquire) == 0) {
-          tile_stalled_[t].store(1, std::memory_order_relaxed);
-          if (!wait_until([&] {
-                return tile_ready_[t].load(std::memory_order_acquire) !=
-                       0;
-              })) {
-            break;
-          }
-        }
-        const std::vector<std::size_t>& ranges = tile_ranges[t];
-        const std::size_t shard_count = ranges.size() - 1;
-        while (true) {
-          const std::size_t shard = tile_claim_[t].fetch_add(
-              1, std::memory_order_relaxed);
-          if (shard >= shard_count) break;
-          delta = std::max(delta, store.multiply_fused_tile(
-                                      t, buffers_[t % 2], power_, next_,
-                                      accum_, weight, ranges[shard],
-                                      ranges[shard + 1]));
-          tile_done_[t].fetch_add(1, std::memory_order_release);
-        }
-      }
-      lane_deltas_[lane] = delta;
-    };
-
-    pool_->parallel_for(lanes, [&](std::size_t role, std::size_t lane) {
-      if (role == 0) {
-        try {
-          for (std::size_t t = 0; t < tile_count; ++t) {
-            if (tile_ready_[t].load(std::memory_order_relaxed) != 0) {
-              continue;  // resident from the previous step
-            }
-            if (t >= 2) {
-              // Buffer t % 2 frees once every shard of tile t - 2 retired.
-              const std::size_t prior_shards =
-                  tile_ranges[t - 2].size() - 1;
-              if (!wait_until([&] {
-                    return tile_done_[t - 2].load(
-                               std::memory_order_acquire) == prior_shards;
-                  })) {
-                return;
-              }
-            }
-            store.prefetch_tile(t);
-            load_into(t, t % 2);
-            tile_ready_[t].store(1, std::memory_order_release);
-          }
-        } catch (...) {
-          step_abort_.store(true, std::memory_order_release);
-          throw;  // parallel_for rethrows the first failure
-        }
-      }
-      compute_role(lane);
-    });
-
-    double delta = 0.0;
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      delta = std::max(delta, lane_deltas_[lane]);
-    }
-    for (std::size_t t = 0; t < tile_count; ++t) {
-      if (tile_stalled_[t].load(std::memory_order_relaxed) == 0) {
-        ++stats_.ooc_prefetch_hits;
-      }
-    }
-    return delta;
-  };
-
-  const auto emit_view =
-      [&](const std::vector<double>& point) -> const std::vector<double>& {
-    for (std::size_t i = 0; i < reachable.size(); ++i) {
-      full_point_[reachable[i]] = point[i];
-    }
-    return full_point_;
-  };
-
-  for (std::size_t idx = 0; idx < times.size(); ++idx) {
-    const double dt = times[idx] - current_time;
-    if (dt > 0.0) {
-      const double lambda = rate * dt;
-      const std::shared_ptr<const markov::PoissonWindow> window_ptr =
-          plan_.window(lambda, options_.epsilon);
-      const markov::PoissonWindow& window = *window_ptr;
-      linalg::fill(accum_, 0.0);
-      power_ = current;
-      if (window.left == 0) {
-        linalg::axpy(window.weight(0), current, accum_);
-      }
-      std::uint64_t calm_steps = 0;  // consecutive steps inside the budget
-      for (std::uint64_t n = 1; n <= window.right; ++n) {
-        const double weight = n >= window.left ? window.weight(n) : 0.0;
-        const double delta = streamed_step(weight);
-        power_.swap(next_);
-        ++stats_.iterations;
-        // Steady-state short circuit -- identical decision input and
-        // guard to markov::TransientSolver / the parallel backend (the
-        // cross-backend bitwise tests pin this down); the tile sweep's
-        // max-of-maxima delta is partition- and tile-independent.
-        if (detect && n < window.right &&
-            static_cast<double>(window.right - n) * delta <= threshold) {
-          if (++calm_steps >= 2) {
-            double residual = 0.0;
-            for (std::uint64_t m = n + 1; m <= window.right; ++m) {
-              // kibamrm-lint: allow(reduction-contract) single-threaded sum of Fox-Glynn tail weights in fixed ascending m order; no thread-count dependence
-              residual += window.weight(m);
-            }
-            if (residual > 0.0) {
-              linalg::axpy(residual, power_, accum_);
-            }
-            stats_.iterations_saved += window.right - n;
-            ++stats_.steady_state_hits;
-            break;
-          }
-        } else {
-          calm_steps = 0;
-        }
-      }
-      current.swap(accum_);
-      if (options_.renormalize) {
-        linalg::normalize_probability(current);
-      }
-      current_time = times[idx];
-    }
-    if (options_.collect_distributions || on_point) {
-      const std::vector<double>& point = emit_view(current);
-      if (options_.collect_distributions) results.push_back(point);
-      if (on_point) on_point(idx, times[idx], point);
-    }
-  }
-  stats_.windows_computed = plan_.windows_computed() - windows_computed_before;
-  stats_.windows_reused = plan_.windows_reused() - windows_reused_before;
-  (void)loop_rows;
-  return results;
+  TileStream stream(store, *pool_, stats_);
+  return driver_.run(stream, rate, reachable, initial, times, on_point,
+                     stats_);
 }
 
 }  // namespace kibamrm::engine

@@ -8,8 +8,8 @@
 // gather plan: at solve start it encodes the compacted transposed
 // uniformised matrix band by band into a linalg::TileStore spill file
 // (O(states) transient index arrays plus one tile), then runs the same
-// incremental uniformisation loop as the parallel backend while streaming
-// the tiles back each DTMC step through a double-buffered pipeline -- one
+// markov::UniformizationDriver with a tile-stream step operator: each DTMC
+// step streams the tiles back through a double-buffered pipeline -- one
 // pool lane reads tile t+1 while the remaining lanes compute tile t, so
 // on chains whose per-step compute dominates the IO the stream is free.
 //
@@ -22,22 +22,19 @@
 // fused parallel backend at EVERY tile size, thread count and shard
 // partition.  The backend always runs the fused double-precision
 // contract: `fused_kernels = false` and the mixed float32 dispatch tier
-// are ignored (there is no baseline scatter loop over a streamed
-// transpose, and the mixed tier's plan never exists here).
+// are ignored (there is no pre-fusion loop over a streamed transpose,
+// and the mixed tier's plan never exists here).
 //
 // Chains small enough that a single tile holds the whole matrix
 // degenerate gracefully: the tile stays resident after its first read and
 // the solve performs no further IO.
 #pragma once
 
-#include <atomic>
 #include <memory>
 
-#include "kibamrm/common/thread_annotations.hpp"
 #include "kibamrm/common/thread_pool.hpp"
 #include "kibamrm/engine/transient_backend.hpp"
-#include "kibamrm/linalg/tile_store.hpp"
-#include "kibamrm/markov/fox_glynn.hpp"
+#include "kibamrm/markov/uniformization_driver.hpp"
 
 namespace kibamrm::engine {
 
@@ -61,49 +58,7 @@ class OutOfCoreBackend final : public TransientBackend {
   BackendOptions options_;
   BackendStats stats_;
   std::unique_ptr<common::ThreadPool> pool_;
-  // Power-iteration scratch, reused across increments and solve() calls.
-  std::vector<double> power_;
-  std::vector<double> next_;
-  std::vector<double> accum_;
-  std::vector<double> full_point_;
-  // Per-lane sup-norm partials of one streamed step (reduced by max, so
-  // the result is independent of which lane ran which shard).
-  std::vector<double> lane_deltas_;
-  // Per-tile pipeline state of one streamed step, shared by the single
-  // pool dispatch that runs the whole sweep: tile_ready_ flips when the
-  // IO role has the tile in its buffer, tile_claim_/tile_done_ hand out
-  // and retire compute shards, tile_stalled_ records that a compute lane
-  // had to wait (the complement of a prefetch hit).
-  //
-  // KIBAMRM_LOCK_FREE: the pipeline is a release-acquire hand-off chain.
-  // The IO lane decodes tile t into buffers_[t%2] and then STORES
-  // tile_ready_[t] with release; a compute lane LOADS it with acquire
-  // before touching the buffer, so the decoded slab happens-before every
-  // shard that reads it.  tile_claim_ hands out disjoint shard indices
-  // (fetch_add, relaxed -- same argument as ThreadPool::next_);
-  // tile_done_ retires them with release so the IO lane's acquire spin
-  // on it sees all shard writes before recycling the buffer for tile
-  // t+2.  tile_stalled_ is a relaxed telemetry flag (its value never
-  // gates an access).  Any mutex here would serialise the very overlap
-  // the double buffer exists to create.
-  std::unique_ptr<std::atomic<std::uint32_t>[]> tile_ready_
-      KIBAMRM_LOCK_FREE("release publish of the decoded slab, see above");
-  std::unique_ptr<std::atomic<std::size_t>[]> tile_claim_
-      KIBAMRM_LOCK_FREE("disjoint shard claims, relaxed fetch_add");
-  std::unique_ptr<std::atomic<std::size_t>[]> tile_done_
-      KIBAMRM_LOCK_FREE("release retire / acquire spin recycles buffers");
-  std::unique_ptr<std::atomic<std::uint32_t>[]> tile_stalled_
-      KIBAMRM_LOCK_FREE("telemetry only; never gates an access");
-  // First failure inside the pipeline; waits abort on it so a throwing
-  // read (corrupt spill file) can never deadlock the step.
-  std::atomic<bool> step_abort_{false} KIBAMRM_LOCK_FREE(
-      "monotonic abort flag; the failure itself rides the pool's rethrow");
-  // Double-buffered tile stream: buffers_[i] holds tile held_[i] (kNone
-  // when empty).  The compute sweep reads the front buffer while the
-  // pool's IO task fills the back buffer with the next tile.
-  common::AlignedBuffer buffers_[2];
-  // Fox-Glynn windows memoised across increments and solve() calls.
-  markov::UniformizationPlan plan_;
+  markov::UniformizationDriver driver_;
 };
 
 }  // namespace kibamrm::engine

@@ -1,270 +1,49 @@
 #include "kibamrm/engine/parallel_backend.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <memory>
-#include <optional>
-
 #include "kibamrm/engine/plan_cache.hpp"
-#include "kibamrm/linalg/fused_gather.hpp"
-#include "kibamrm/linalg/kernels.hpp"
-#include "kibamrm/linalg/permutation.hpp"
-#include "kibamrm/linalg/vector_ops.hpp"
-#include "kibamrm/markov/fox_glynn.hpp"
+#include "kibamrm/markov/uniformization.hpp"
 
 namespace kibamrm::engine {
 
-ParallelUniformizationBackend::ParallelUniformizationBackend(
-    BackendOptions options)
-    : options_(options),
-      pool_(std::make_unique<common::ThreadPool>(options.threads)) {
-  KIBAMRM_REQUIRE(options_.epsilon > 0.0 && options_.epsilon < 1.0,
-                  "transient epsilon must lie in (0,1)");
-}
+ParallelBackend::ParallelBackend(BackendOptions options, std::string_view name)
+    : options_(std::move(options)),
+      name_(name),
+      pool_(std::make_unique<common::ThreadPool>(options_.threads)),
+      driver_(transient_options(options_)) {}
 
-std::vector<std::vector<double>> ParallelUniformizationBackend::solve(
+std::vector<std::vector<double>> ParallelBackend::solve(
     const markov::Ctmc& chain, const std::vector<double>& initial,
     const std::vector<double>& times, const PointCallback& on_point) {
-  check_arguments(chain, initial, times);
-
-  double rate = options_.uniformization_rate;
-  if (rate == 0.0) {
-    rate = 1.02 * chain.max_exit_rate();
-    if (rate == 0.0) rate = 1.0;  // generator is all-absorbing
-  }
-  KIBAMRM_REQUIRE(rate * (1.0 + 1e-12) >= chain.max_exit_rate(),
-                  "uniformization rate below maximal exit rate");
-  const bool fused = options_.fused_kernels;
-  // The fused path mirrors markov::TransientSolver: restrict the loop to
-  // the reachable closure of the initial support (expanded battery chains
-  // reach only ~half their states from the full-charge start) and run the
-  // compressed gather plan over the compacted transpose of P; the closure
-  // and the compaction are independent of the thread count, so the
-  // bitwise-determinism guarantee is untouched.  That immutable setup
-  // block lives in engine/plan_cache.hpp: with a batch-shared cache in
-  // options_.plan_cache a sweep of identical Q*-structures builds it
-  // once (the cached copy is byte-identical to a private build, so
-  // curves cannot change).  The baseline path keeps the full transpose,
-  // uncached.  Each output entry of the gather is private to exactly one
-  // shard either way.
-  std::shared_ptr<const CachedGatherPlan> cached;
-  linalg::CsrMatrix pt(1, 1);
-  if (fused) {
-    std::vector<std::uint32_t> seeds;
-    for (std::size_t i = 0; i < initial.size(); ++i) {
-      if (initial[i] != 0.0) seeds.push_back(static_cast<std::uint32_t>(i));
-    }
-    cached = options_.plan_cache
-                 ? options_.plan_cache->obtain(chain.generator(), rate, seeds)
-                 : build_cached_gather_plan(chain.generator(), rate, seeds);
-  } else {
-    pt = chain.generator().uniformized(rate).transposed();
-  }
-  const linalg::StructureStats structure =
-      fused ? cached->structure : linalg::StructureStats{};
-  // Compressed kernel plan (dictionary values + int16 offsets): bitwise
-  // identical arithmetic to the CSR gather at roughly a third of the
-  // memory traffic; chains that do not compress fall back to the CSR
-  // transpose the cache retains.
-  const std::optional<linalg::FusedGatherPlan> no_plan;
-  const std::optional<linalg::FusedGatherPlan>& plan =
-      fused ? cached->plan : no_plan;
-  const std::size_t loop_rows = fused ? cached->rows() : pt.rows();
-  const std::size_t loop_nonzeros = fused ? cached->nonzeros : pt.nonzeros();
-  // Shared shard policy (see plan_gather_shards): oversubscribed
-  // nnz-balanced ranges over the pool, or inline below the pool-wake
-  // threshold -- the gather arithmetic is identical either way, results
-  // stay bitwise equal.  The fused path splits off the cached per-row
-  // entry counts (same fair-share walk as the CSR overload).
-  GatherShardPlan shards =
-      fused ? plan_gather_shards(cached->row_entry_counts, cached->nonzeros,
-                                 0, loop_rows, pool_->thread_count())
-            : plan_gather_shards(pt, pool_->thread_count());
-  const bool use_pool = shards.use_pool;
-  // Snap shard boundaries onto uniform-segment edges (ROADMAP 3c): a
-  // boundary inside a segment costs partial SIMD groups at both shard
-  // edges.  Per-row arithmetic is partition-independent, so this only
-  // moves work, never changes a bit.
-  if (plan && use_pool) {
-    plan->align_ranges_to_segments(shards.ranges);
-  }
-  const std::vector<std::size_t>& ranges = shards.ranges;
-  const std::size_t shard_count = shards.shard_count();
-
-  // Mixed tier (see markov::TransientSolver): float32 power iteration with
-  // double accumulation, only where the row-offset gather plan provides the
-  // float kernel; sharding is unchanged -- each output entry is private to
-  // one shard, so the thread-count determinism guarantee carries over.
-  const bool mixed =
-      fused && plan && plan->mixed_supported() &&
-      linalg::kernels::active_dispatch() == linalg::kernels::Dispatch::kMixed;
-
+  markov::check_transient_arguments(chain, initial, times);
+  const double rate =
+      markov::resolve_uniformization_rate(chain, options_.uniformization_rate);
   stats_ = BackendStats{};
-  stats_.uniformization_rate = rate;
-  stats_.time_points = times.size();
-  const std::uint64_t windows_computed_before = plan_.windows_computed();
-  const std::uint64_t windows_reused_before = plan_.windows_reused();
-
-  const bool detect = options_.steady_state_detection && fused;
-  const double threshold = options_.epsilon / 2.0;
-  stats_.active_states = fused ? cached->reachable.size() : initial.size();
-  stats_.active_nonzeros = loop_nonzeros;
-  stats_.matrix_bandwidth = structure.bandwidth;
-  stats_.groupable_rows = structure.groupable_rows;
-  stats_.longest_uniform_run = structure.longest_uniform_run;
-  stats_.diagonal_rows = structure.diagonal_rows;
-  stats_.longest_diagonal_run = structure.longest_diagonal_run;
-
-  std::vector<std::vector<double>> results;
-  if (options_.collect_distributions) results.reserve(times.size());
-
-  std::vector<double> current;  // pi(t_k), in loop space
-  if (fused) {
-    const std::vector<std::uint32_t>& reachable = cached->reachable;
-    current.resize(reachable.size());
-    for (std::size_t i = 0; i < reachable.size(); ++i) {
-      current[i] = initial[reachable[i]];
-    }
-    full_point_.assign(initial.size(), 0.0);
-  } else {
-    current = initial;
+  const std::size_t lanes = pool_->thread_count();
+  if (!options_.fused_kernels) {
+    linalg::CsrMatrix pt = chain.generator().uniformized(rate).transposed();
+    GatherShardPlan shards = plan_gather_shards(pt, lanes);
+    markov::GatherReferenceStep step(std::move(pt),
+                                     shards.use_pool ? pool_.get() : nullptr,
+                                     std::move(shards.ranges));
+    return driver_.run(step, rate, {}, initial, times, on_point, stats_);
   }
-  next_.assign(current.size(), 0.0);
-  accum_.assign(current.size(), 0.0);
-  shard_deltas_.assign(shard_count, 0.0);
-  double current_time = 0.0;
-
-  // Expands the compacted loop vector into full_point_ for results and
-  // callbacks; pass-through in baseline mode.
-  const auto emit_view =
-      [&](const std::vector<double>& point) -> const std::vector<double>& {
-    if (!fused) return point;
-    const std::vector<std::uint32_t>& reachable = cached->reachable;
-    for (std::size_t i = 0; i < reachable.size(); ++i) {
-      full_point_[reachable[i]] = point[i];
-    }
-    return full_point_;
-  };
-
-  for (std::size_t idx = 0; idx < times.size(); ++idx) {
-    const double dt = times[idx] - current_time;
-    if (dt > 0.0) {
-      const double lambda = rate * dt;
-      const std::shared_ptr<const markov::PoissonWindow> window_ptr =
-          plan_.window(lambda, options_.epsilon);
-      const markov::PoissonWindow& window = *window_ptr;
-      linalg::fill(accum_, 0.0);
-      if (mixed) {
-        power_f_.resize(current.size());
-        next_f_.resize(current.size());
-        for (std::size_t i = 0; i < current.size(); ++i) {
-          power_f_[i] = static_cast<float>(current[i]);
-        }
-      } else {
-        power_ = current;
-      }
-      // n = 0 term (current == pi(t_k) exactly; in mixed mode the double
-      // vector feeds the accumulator so the n = 0 term is full precision).
-      if (window.left == 0) {
-        linalg::axpy(window.weight(0), current, accum_);
-      }
-      std::uint64_t calm_steps = 0;  // consecutive steps inside the budget
-      for (std::uint64_t n = 1; n <= window.right; ++n) {
-        const double weight = n >= window.left ? window.weight(n) : 0.0;
-        double delta = 0.0;
-        if (fused) {
-          const auto fused_range = [&](std::size_t begin, std::size_t end) {
-            if (mixed) {
-              return plan->multiply_fused_range_mixed(power_f_, next_f_,
-                                                      accum_, weight, begin,
-                                                      end);
-            }
-            return plan ? plan->multiply_fused_range(power_, next_, accum_,
-                                                     weight, begin, end)
-                        : cached->transpose.multiply_fused_range(
-                              power_, next_, accum_, weight, begin, end);
-          };
-          if (use_pool) {
-            pool_->parallel_for(
-                shard_count, [&](std::size_t shard, std::size_t /*lane*/) {
-                  shard_deltas_[shard] =
-                      fused_range(ranges[shard], ranges[shard + 1]);
-                });
-            for (const double shard_delta : shard_deltas_) {
-              delta = std::max(delta, shard_delta);
-            }
-          } else {
-            delta = fused_range(0, loop_rows);
-          }
-          if (mixed) {
-            power_f_.swap(next_f_);
-          } else {
-            power_.swap(next_);
-          }
-        } else {
-          if (use_pool) {
-            pool_->parallel_for(
-                shard_count, [&](std::size_t shard, std::size_t /*lane*/) {
-                  pt.multiply_range(power_, next_, ranges[shard],
-                                    ranges[shard + 1]);
-                });
-          } else {
-            pt.multiply_range(power_, next_, 0, loop_rows);
-          }
-          power_.swap(next_);
-          if (weight != 0.0) {
-            linalg::axpy(weight, power_, accum_);
-          }
-        }
-        ++stats_.iterations;
-        // Steady-state short circuit -- keep in lockstep with
-        // markov::TransientSolver::solve (the serial/parallel bitwise and
-        // iteration-equality tests fail on any divergence): budgeted
-        // shrinking-steps heuristic with a two-consecutive-steps guard.
-        // The decision input (max of per-shard maxima) is
-        // partition-independent, so it fires identically at every thread
-        // count.
-        if (detect && n < window.right &&
-            static_cast<double>(window.right - n) * delta <= threshold) {
-          if (++calm_steps >= 2) {
-            double residual = 0.0;
-            for (std::uint64_t m = n + 1; m <= window.right; ++m) {
-              // kibamrm-lint: allow(reduction-contract) single-threaded sum of Fox-Glynn tail weights in fixed ascending m order; no thread-count dependence
-              residual += window.weight(m);
-            }
-            if (residual > 0.0) {
-              if (mixed) {
-                for (std::size_t i = 0; i < accum_.size(); ++i) {
-                  accum_[i] +=
-                      residual * static_cast<double>(power_f_[i]);
-                }
-              } else {
-                linalg::axpy(residual, power_, accum_);
-              }
-            }
-            stats_.iterations_saved += window.right - n;
-            ++stats_.steady_state_hits;
-            break;
-          }
-        } else {
-          calm_steps = 0;
-        }
-      }
-      current.swap(accum_);
-      if (options_.renormalize) {
-        linalg::normalize_probability(current);
-      }
-      current_time = times[idx];
-    }
-    if (options_.collect_distributions || on_point) {
-      const std::vector<double>& point = emit_view(current);
-      if (options_.collect_distributions) results.push_back(point);
-      if (on_point) on_point(idx, times[idx], point);
-    }
+  const std::vector<std::uint32_t> seeds = markov::support_of(initial);
+  const std::shared_ptr<const CachedGatherPlan> cached =
+      options_.plan_cache
+          ? options_.plan_cache->obtain(chain.generator(), rate, seeds)
+          : build_cached_gather_plan(chain.generator(), rate, seeds);
+  GatherShardPlan shards = plan_gather_shards(
+      cached->row_entry_counts, cached->nonzeros, 0, cached->rows(), lanes);
+  // A shard boundary inside a uniform segment costs partial SIMD groups at
+  // both shard edges; snapping only moves work, never changes a bit.
+  if (cached->plan && shards.use_pool) {
+    cached->plan->align_ranges_to_segments(shards.ranges);
   }
-  stats_.windows_computed = plan_.windows_computed() - windows_computed_before;
-  stats_.windows_reused = plan_.windows_reused() - windows_reused_before;
-  return results;
+  markov::FusedGatherStep step(*cached,
+                               shards.use_pool ? pool_.get() : nullptr,
+                               std::move(shards.ranges));
+  return driver_.run(step, rate, cached->reachable, initial, times, on_point,
+                     stats_);
 }
 
 }  // namespace kibamrm::engine

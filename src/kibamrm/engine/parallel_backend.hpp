@@ -1,43 +1,44 @@
-// Parallel uniformisation backend: the paper's transient solver with its
-// sparse matrix-vector products sharded across a thread pool.
+// In-memory uniformisation backend: markov::UniformizationDriver over the
+// in-memory gather step operators, sharded across a thread pool.  It
+// serves two registry names: "parallel" (threads lanes) and
+// "uniformization" (pinned to one lane, the serial default).
 //
-// The serial backend's hot kernel is the left product pi * P, a *scatter*
-// over rows of P -- rows race on output entries, so it does not shard.
-// This backend stores P transposed once per solve and computes
+// The step runs on the transposed transition matrix,
 //     next[j] = sum_k P^T(j,k) * power[k]  =  (power * P)[j],
-// a *gather*: each output entry is one CSR-row dot product, so disjoint
-// row ranges of P^T write disjoint outputs and need no synchronisation.
-// Ranges are balanced by non-zero count (CsrMatrix::balanced_row_ranges)
-// and claimed dynamically from a common::ThreadPool.
+// a *gather*: each output entry is one row dot product, so disjoint row
+// ranges write disjoint outputs and need no synchronisation.  Ranges are
+// balanced by non-zero count, snapped to uniform-segment edges, and
+// claimed dynamically from a common::ThreadPool.
 //
-// Because every out[j] is summed in the fixed storage order of its P^T
-// row (four fixed-interleave partial sums in the fused kernel), the result
-// is bitwise identical for every thread count and shard partition --
-// "--threads 8" reproduces "--threads 1" exactly, which the determinism
-// tests in tests/test_engine_parallel.cpp pin down.
+// Because every out[j] is summed in the fixed storage order of its row,
+// the result is bitwise identical for every thread count and shard
+// partition -- "--threads 8" reproduces "--threads 1" and
+// "uniformization" exactly, which the determinism tests in
+// tests/test_engine_parallel.cpp pin down.  Per-shard steady-state deltas
+// reduce by max (order independent), so detection decides identically at
+// every thread count.
 //
-// The fused kernel additionally folds the Poisson-weighted accumulation
-// and the steady-state delta into each shard's pass
-// (CsrMatrix::multiply_fused_range); per-shard deltas reduce by max --
-// order independent -- so steady-state early termination decides
-// identically at every thread count.  Fox-Glynn windows are memoised in a
-// markov::UniformizationPlan shared across increments and solves.
+// With fused_kernels the loop runs markov::FusedGatherStep over the
+// reachable closure of the initial support (setup shared through
+// BackendOptions::plan_cache when given); without, the pre-fusion
+// markov::GatherReferenceStep over the full transpose.
 #pragma once
 
 #include <memory>
+#include <string_view>
 
 #include "kibamrm/common/thread_pool.hpp"
 #include "kibamrm/engine/transient_backend.hpp"
-#include "kibamrm/linalg/csr_matrix.hpp"
-#include "kibamrm/markov/fox_glynn.hpp"
+#include "kibamrm/markov/uniformization_driver.hpp"
 
 namespace kibamrm::engine {
 
-class ParallelUniformizationBackend final : public TransientBackend {
+class ParallelBackend final : public TransientBackend {
  public:
-  explicit ParallelUniformizationBackend(BackendOptions options);
+  /// `name` is the registry name the backend reports.
+  ParallelBackend(BackendOptions options, std::string_view name);
 
-  std::string_view name() const override { return "parallel"; }
+  std::string_view name() const override { return name_; }
 
   std::vector<std::vector<double>> solve(
       const markov::Ctmc& chain, const std::vector<double>& initial,
@@ -51,29 +52,10 @@ class ParallelUniformizationBackend final : public TransientBackend {
 
  private:
   BackendOptions options_;
+  std::string_view name_;
   BackendStats stats_;
   std::unique_ptr<common::ThreadPool> pool_;
-  // Scratch reused across increments and solve() calls (same discipline as
-  // markov::TransientSolver): a whole curve allocates only on its first
-  // increment.
-  std::vector<double> power_;
-  std::vector<double> next_;
-  std::vector<double> accum_;
-  // Full-dimension buffer results and callbacks are expanded into when the
-  // fused loop runs in the compacted reachable space.
-  std::vector<double> full_point_;
-  // Mixed-tier float scratch (see markov::TransientSolver): the power
-  // iteration streams float32 while accum_ stays double; per-row
-  // arithmetic is partition-independent, so the thread-count determinism
-  // guarantee carries over to the mixed tier unchanged.
-  std::vector<float> power_f_;
-  std::vector<float> next_f_;
-  // Per-shard sup-norm deltas from the fused kernel; reduced by max after
-  // each product (max is order-independent, so the reduction preserves the
-  // bitwise-deterministic guarantee).
-  std::vector<double> shard_deltas_;
-  // Fox-Glynn windows memoised across increments and solve() calls.
-  markov::UniformizationPlan plan_;
+  markov::UniformizationDriver driver_;
 };
 
 }  // namespace kibamrm::engine

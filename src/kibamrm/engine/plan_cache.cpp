@@ -6,42 +6,6 @@
 
 namespace kibamrm::engine {
 
-std::shared_ptr<const CachedGatherPlan> build_cached_gather_plan(
-    const linalg::CsrMatrix& generator, double rate,
-    std::span<const std::uint32_t> seeds) {
-  auto cached = std::make_shared<CachedGatherPlan>();
-  linalg::CsrMatrix p = generator.uniformized(rate);
-  cached->reachable = p.reachable_rows(seeds);
-  linalg::CsrMatrix pt = p.transposed_submatrix(cached->reachable);
-  p = linalg::CsrMatrix(1, 1);  // only needed for setup
-  cached->structure = linalg::structure_stats(pt);
-  cached->nonzeros = pt.nonzeros();
-  const std::size_t n = pt.rows();
-  const std::span<const std::uint32_t> row_ptr = pt.row_pointers();
-  const std::span<const std::uint32_t> col_idx = pt.column_indices();
-  cached->row_entry_counts.assign(n, 0);
-  cached->row_col_lo.assign(n, 0);
-  cached->row_col_hi.assign(n, 0);
-  for (std::size_t r = 0; r < n; ++r) {
-    const std::uint32_t entries = row_ptr[r + 1] - row_ptr[r];
-    cached->row_entry_counts[r] = entries;
-    if (entries > 0) {
-      // CSR columns are sorted: first/last stored column bound the row's
-      // gather footprint.
-      cached->row_col_lo[r] = col_idx[row_ptr[r]];
-      cached->row_col_hi[r] = col_idx[row_ptr[r + 1] - 1];
-    }
-  }
-  cached->plan = linalg::FusedGatherPlan::build(pt);
-  if (cached->plan) {
-    // The packed layout replaces the CSR copy; chains that fit neither
-    // compressed layout keep the transpose as the kernel fallback.
-    pt = linalg::CsrMatrix(1, 1);
-  }
-  cached->transpose = std::move(pt);
-  return cached;
-}
-
 std::uint64_t gather_plan_key(const linalg::CsrMatrix& generator, double rate,
                               std::span<const std::uint32_t> seeds) {
   const std::span<const std::uint32_t> row_ptr = generator.row_pointers();

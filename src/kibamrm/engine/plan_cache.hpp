@@ -21,47 +21,19 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "kibamrm/common/thread_annotations.hpp"
 #include "kibamrm/linalg/csr_matrix.hpp"
-#include "kibamrm/linalg/fused_gather.hpp"
-#include "kibamrm/linalg/permutation.hpp"
+#include "kibamrm/markov/uniformization.hpp"
 
 namespace kibamrm::engine {
 
-/// The immutable per-chain setup of a fused uniformisation solve.  Built
-/// once (build_cached_gather_plan), then only read.
-struct CachedGatherPlan {
-  /// Sorted reachable closure of the initial support (full-chain state
-  /// ids); the loop dimension is reachable.size().
-  std::vector<std::uint32_t> reachable;
-  /// Per-row stored-entry counts of the compacted transpose, plus each
-  /// row's first/last stored column -- enough to shard and partition
-  /// without keeping the CSR arrays alive (linalg::ShardPlan and the
-  /// gather shard split both run off these).
-  std::vector<std::uint32_t> row_entry_counts;
-  std::vector<std::uint32_t> row_col_lo;
-  std::vector<std::uint32_t> row_col_hi;
-  std::uint64_t nonzeros = 0;
-  linalg::StructureStats structure;
-  /// Compressed kernel plan; nullopt when the chain fits neither layout.
-  std::optional<linalg::FusedGatherPlan> plan;
-  /// CSR fallback, retained only when `plan` could not build (the
-  /// compressed layout otherwise replaces it).
-  linalg::CsrMatrix transpose{1, 1};
-
-  std::size_t rows() const { return row_entry_counts.size(); }
-};
-
-/// Uniformises `generator` at `rate`, compacts to the reachable closure
-/// of `seeds` and builds the gather plan -- the setup block shared by the
-/// parallel and sharded backends, cache or no cache.
-std::shared_ptr<const CachedGatherPlan> build_cached_gather_plan(
-    const linalg::CsrMatrix& generator, double rate,
-    std::span<const std::uint32_t> seeds);
+/// The immutable per-chain setup of a fused uniformisation solve and its
+/// builder live next to the step operator that reads them.
+using markov::CachedGatherPlan;
+using markov::build_cached_gather_plan;
 
 /// Content hash the cache keys on: generator structure arrays and values
 /// (exact bytes), the uniformisation rate bits and the seed set.  Chains

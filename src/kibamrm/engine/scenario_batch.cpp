@@ -81,8 +81,9 @@ std::vector<ScenarioResult> ScenarioBatch::solve_all(
         try {
           result.curve = core::solve_empty_probability_curve(
               expanded, *scratch.backend, scenario.times, options_.epsilon);
-          core::absorb_backend_stats(result.stats,
-                                     scratch.backend->last_stats());
+          static_cast<BackendStats&>(result.stats) =
+              scratch.backend->last_stats();
+          result.stats.uniformization_iterations = result.stats.iterations;
         } catch (const UnsupportedChainError& error) {
           result.skipped = true;
           result.skip_reason = error.what();

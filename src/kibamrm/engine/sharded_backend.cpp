@@ -368,33 +368,22 @@ void run_worker(SharedSetup& shared, std::size_t shard) {
 
 ShardedBackend::ShardedBackend(BackendOptions options)
     : options_(options),
-      shards_(std::max<std::size_t>(std::size_t{1}, options.shards)) {
-  KIBAMRM_REQUIRE(options_.epsilon > 0.0 && options_.epsilon < 1.0,
-                  "transient epsilon must lie in (0,1)");
-}
+      shards_(std::max<std::size_t>(std::size_t{1}, options.shards)),
+      detector_(options.epsilon) {}
 
 std::vector<std::vector<double>> ShardedBackend::solve(
     const markov::Ctmc& chain, const std::vector<double>& initial,
     const std::vector<double>& times, const PointCallback& on_point) {
-  check_arguments(chain, initial, times);
+  markov::check_transient_arguments(chain, initial, times);
   if (!options_.fused_kernels) {
     throw UnsupportedChainError(
         "sharded backend requires fused kernels; use the parallel engine "
         "for the unfused baseline loop");
   }
 
-  double rate = options_.uniformization_rate;
-  if (rate == 0.0) {
-    rate = 1.02 * chain.max_exit_rate();
-    if (rate == 0.0) rate = 1.0;  // generator is all-absorbing
-  }
-  KIBAMRM_REQUIRE(rate * (1.0 + 1e-12) >= chain.max_exit_rate(),
-                  "uniformization rate below maximal exit rate");
-
-  std::vector<std::uint32_t> seeds;
-  for (std::size_t i = 0; i < initial.size(); ++i) {
-    if (initial[i] != 0.0) seeds.push_back(static_cast<std::uint32_t>(i));
-  }
+  const double rate =
+      markov::resolve_uniformization_rate(chain, options_.uniformization_rate);
+  const std::vector<std::uint32_t> seeds = markov::support_of(initial);
   // Setup is the same block the parallel backend runs (uniformise,
   // closure, compacted transpose, gather plan); through the batch-shared
   // cache a whole sweep of identical Q*-structures builds it once.
@@ -536,13 +525,11 @@ std::vector<std::vector<double>> ShardedBackend::solve(
   assembled_ = shared.initial_compact;
   full_point_.assign(initial.size(), 0.0);
 
-  // The coordinator replicates the parallel backend's per-increment
-  // bookkeeping exactly (iterations, calm-step guard, residual, hits) --
-  // the bitwise and iteration-equality tests in test_engine_sharded.cpp
-  // fail on any divergence.  Workers recompute identical Fox-Glynn
-  // windows locally, so only deltas and verdicts cross the channel.
+  // The coordinator keeps the loop counters and takes every steady-state
+  // verdict from markov::SteadyStateDetector, the rule the in-process
+  // driver applies.  Workers recompute identical Fox-Glynn windows
+  // locally, so only deltas and verdicts cross the channel.
   const bool detect = shared.detect;
-  const double threshold = options_.epsilon / 2.0;
   double current_time = 0.0;
   for (std::size_t idx = 0; idx < times.size(); ++idx) {
     const double dt = times[idx] - current_time;
@@ -551,7 +538,7 @@ std::vector<std::vector<double>> ShardedBackend::solve(
       const std::shared_ptr<const markov::PoissonWindow> window_ptr =
           plan_.window(lambda, options_.epsilon);
       const markov::PoissonWindow& window = *window_ptr;
-      std::uint64_t calm_steps = 0;
+      detector_.reset();
       for (std::uint64_t n = 1; n <= window.right; ++n) {
         ++stats_.iterations;
         if (!detect || n >= window.right) continue;
@@ -563,18 +550,10 @@ std::vector<std::vector<double>> ShardedBackend::solve(
           delta = std::max(delta, band_delta);
         }
         VerdictPayload verdict;
-        if (static_cast<double>(window.right - n) * delta <= threshold) {
-          if (++calm_steps >= 2) {
-            verdict.stop = 1;
-            double residual = 0.0;
-            for (std::uint64_t m = n + 1; m <= window.right; ++m) {
-              // kibamrm-lint: allow(reduction-contract) single-threaded sum of Fox-Glynn tail weights in fixed ascending m order; no thread-count dependence
-              residual += window.weight(m);
-            }
-            verdict.residual = residual;
-          }
-        } else {
-          calm_steps = 0;
+        if (const std::optional<double> residual =
+                detector_.verdict(window, n, delta)) {
+          verdict.stop = 1;
+          verdict.residual = *residual;
         }
         for (std::size_t s = 0; s < shards_; ++s) {
           send_to(s, kFrameVerdict, &verdict, sizeof(verdict));

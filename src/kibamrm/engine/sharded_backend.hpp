@@ -46,6 +46,7 @@
 
 #include "kibamrm/engine/transient_backend.hpp"
 #include "kibamrm/markov/fox_glynn.hpp"
+#include "kibamrm/markov/uniformization_driver.hpp"
 
 namespace kibamrm::engine {
 
@@ -74,9 +75,11 @@ class ShardedBackend final : public TransientBackend {
   std::vector<double> assembled_;
   std::vector<double> full_point_;
   // Fox-Glynn windows memoised across increments and solve() calls; the
-  // coordinator replicates the parallel backend's iteration bookkeeping
-  // off this plan while workers recompute identical windows locally.
+  // coordinator keeps the iteration bookkeeping off this plan while
+  // workers recompute identical windows locally.
   markov::UniformizationPlan plan_;
+  // The steady-state rule of markov::UniformizationDriver.
+  markov::SteadyStateDetector detector_;
 };
 
 }  // namespace kibamrm::engine

@@ -11,7 +11,6 @@
 #include "kibamrm/engine/ooc_backend.hpp"
 #include "kibamrm/engine/parallel_backend.hpp"
 #include "kibamrm/engine/sharded_backend.hpp"
-#include "kibamrm/engine/uniformization_backend.hpp"
 #include "kibamrm/linalg/kernels.hpp"
 #include "kibamrm/linalg/shard_plan.hpp"
 #include "kibamrm/linalg/vector_ops.hpp"
@@ -23,8 +22,9 @@ namespace {
 std::map<std::string, BackendFactory, std::less<>>& registry() {
   static std::map<std::string, BackendFactory, std::less<>> backends = {
       {"uniformization",
-       [](const BackendOptions& options) -> std::unique_ptr<TransientBackend> {
-         return std::make_unique<UniformizationBackend>(options);
+       [](BackendOptions options) -> std::unique_ptr<TransientBackend> {
+         options.threads = 1;
+         return std::make_unique<ParallelBackend>(options, "uniformization");
        }},
       {"adaptive",
        [](const BackendOptions& options) -> std::unique_ptr<TransientBackend> {
@@ -36,7 +36,7 @@ std::map<std::string, BackendFactory, std::less<>>& registry() {
        }},
       {"parallel",
        [](const BackendOptions& options) -> std::unique_ptr<TransientBackend> {
-         return std::make_unique<ParallelUniformizationBackend>(options);
+         return std::make_unique<ParallelBackend>(options, "parallel");
        }},
       {"krylov",
        [](const BackendOptions& options) -> std::unique_ptr<TransientBackend> {
@@ -81,17 +81,13 @@ GatherShardPlan plan_gather_shards(std::span<const std::uint32_t> row_counts,
   return plan;
 }
 
-void TransientBackend::check_arguments(const markov::Ctmc& chain,
-                                       const std::vector<double>& initial,
-                                       const std::vector<double>& times) {
-  KIBAMRM_REQUIRE(initial.size() == chain.state_count(),
-                  "initial distribution has wrong dimension");
-  KIBAMRM_REQUIRE(linalg::is_probability_vector(initial, 1e-6),
-                  "initial vector is not a probability distribution");
-  KIBAMRM_REQUIRE(std::is_sorted(times.begin(), times.end()),
-                  "time points must be sorted ascending");
-  KIBAMRM_REQUIRE(times.empty() || times.front() >= 0.0,
-                  "time points must be non-negative");
+markov::TransientOptions transient_options(const BackendOptions& options) {
+  return {.epsilon = options.epsilon,
+          .uniformization_rate = options.uniformization_rate,
+          .renormalize = options.renormalize,
+          .collect_results = options.collect_distributions,
+          .fused_kernels = options.fused_kernels,
+          .steady_state_detection = options.steady_state_detection};
 }
 
 std::unique_ptr<TransientBackend> make_backend(std::string_view name,

@@ -7,9 +7,9 @@
 // for a CTMC on a sorted time grid, and callers (core/approx_solver, the
 // bench drivers, examples) select an implementation by name:
 //
-//   "uniformization"  incremental uniformisation with Fox-Glynn windows and
-//                     an absorbing-layer fast path -- the production default
-//                     for the large expanded battery chains
+//   "uniformization"  incremental uniformisation with Fox-Glynn windows:
+//                     the "parallel" engine pinned to one lane, the
+//                     production default for the expanded battery chains
 //   "adaptive"        embedded Runge-Kutta (Dormand-Prince 5(4)) with
 //                     adaptive step control on pi' = pi Q -- complements the
 //                     transform solver in core/exact_c1 for small stiff
@@ -18,10 +18,10 @@
 //   "dense"           dense Pade matrix exponential (linalg/expm) with
 //                     increment caching -- cross-validation oracle for
 //                     chains below a configurable state threshold
-//   "parallel"        uniformisation with the spmv sharded across a
-//                     ThreadPool (transposed gather kernel, nnz-balanced
-//                     row ranges) -- bitwise deterministic across thread
-//                     counts; the multi-core production path
+//   "parallel"        uniformisation with the fused gather step sharded
+//                     across a ThreadPool (nnz-balanced row ranges) --
+//                     bitwise deterministic across thread counts; the
+//                     multi-core production path
 //   "krylov"          Arnoldi projection of exp(Q^T t) v onto a small
 //                     Krylov subspace with EXPOKIT-style adaptive
 //                     sub-step splitting -- the stiff-chain path: its
@@ -35,6 +35,12 @@
 //                     bitwise identical curves to the fused in-memory
 //                     backends at every tile size and thread count, with
 //                     a working set of two tiles plus O(states) vectors
+//
+// "uniformization", "parallel" and "ooc" run one loop,
+// markov::UniformizationDriver, over different step operators (in-memory
+// gather, tile stream).  The last engine keeps its own worker loop but
+// takes its rate and steady-state verdicts from the driver's code:
+//
 //   "sharded"         multi-process uniformisation: a coordinator forks
 //                     one worker per shard, each owning a contiguous
 //                     level band of the compacted transpose
@@ -60,6 +66,7 @@
 #include "kibamrm/common/error.hpp"
 #include "kibamrm/linalg/csr_matrix.hpp"
 #include "kibamrm/markov/ctmc.hpp"
+#include "kibamrm/markov/uniformization_driver.hpp"
 
 namespace kibamrm::engine {
 
@@ -122,16 +129,17 @@ struct BackendOptions {
   /// O(states^3) per distinct increment).
   std::size_t dense_state_limit = 1024;
   /// Execution lanes of the parallel uniformisation backend; 0 auto-detects
-  /// the hardware thread count.  Other backends ignore it.
+  /// the hardware thread count.  "uniformization" always runs one lane.
   std::size_t threads = 0;
   /// When false, solve() returns an empty vector and delivers points only
   /// through the callback -- curve consumers on million-state chains avoid
   /// materialising time_points * states doubles they never read.
   bool collect_distributions = true;
-  /// Fused spmv+accumulate kernels (uniformisation engines): one finishing
-  /// sweep per iteration instead of a separate axpy, with the steady-state
-  /// delta as a by-product.  False keeps the pre-fusion loop as the
-  /// measured baseline.  Other backends ignore it.
+  /// Fused spmv+accumulate kernels ("uniformization", "parallel"): one
+  /// pass per iteration computes the product, the accumulation and the
+  /// steady-state delta.  False runs the pre-fusion reference (gather
+  /// spmv plus axpy over the full transpose) as the measured baseline;
+  /// "ooc" ignores it and "sharded" refuses it.
   bool fused_kernels = true;
   /// Steady-state / absorption early termination inside the Poisson window
   /// (uniformisation engines; requires fused_kernels).  The detection
@@ -196,40 +204,20 @@ struct BackendOptions {
   /// Optional cross-scenario cache of reachable closures + gather plans
   /// (engine/plan_cache.hpp), shared across the lanes of a ScenarioBatch.
   /// Null solves build their plan privately.  Honoured by the fused
-  /// uniformisation engines ("parallel", "sharded"); results are
-  /// bitwise independent of cache hits.
+  /// in-memory uniformisation engines ("uniformization", "parallel",
+  /// "sharded"); results are bitwise independent of cache hits.
   std::shared_ptr<GatherPlanCache> plan_cache = nullptr;
 };
 
-/// Cost counters, populated by every backend after each solve().
-struct BackendStats {
-  /// Work unit depends on the backend: DTMC steps (= sparse matrix-vector
-  /// products) for uniformisation, right-hand-side evaluations for the
-  /// adaptive stepper, dense matrix-matrix products for the expm backend.
-  std::uint64_t iterations = 0;
-  std::uint64_t time_points = 0;
+/// Cost counters, populated by every backend after each solve().  The
+/// loop counters (iterations, windows, detection, active states and
+/// matrix structure) are markov::TransientStats, documented there; the
+/// adaptive, dense and krylov engines count their own work unit in
+/// `iterations` and report active_states/active_nonzeros where they
+/// compact.
+struct BackendStats : markov::TransientStats {
   /// Adaptive backend: steps whose error estimate forced a retry.
   std::uint64_t rejected_steps = 0;
-  /// Uniformisation backend: the rate actually used; 0 elsewhere.
-  double uniformization_rate = 0.0;
-  /// Uniformisation engines: Poisson terms short-circuited by steady-state
-  /// detection (iterations + iterations_saved == full window term count)
-  /// and increments on which detection fired; 0 elsewhere.
-  std::uint64_t iterations_saved = 0;
-  std::uint64_t steady_state_hits = 0;
-  /// Uniformisation engines: Fox-Glynn windows computed vs served from the
-  /// plan cache during the last solve; 0 elsewhere.
-  std::uint64_t windows_computed = 0;
-  std::uint64_t windows_reused = 0;
-  /// Uniformisation and krylov engines: states inside the reachable
-  /// closure of the initial distribution (the dimension the hot loops
-  /// iterate); equals the full state count without compaction, 0 for
-  /// other backends.
-  std::uint64_t active_states = 0;
-  /// Uniformisation and krylov engines: stored entries of the matrix the
-  /// loop actually iterates (compacted transpose when fused/compacted,
-  /// full matrix otherwise); 0 for other backends.
-  std::uint64_t active_nonzeros = 0;
   /// Krylov backend: largest Arnoldi subspace dimension used during the
   /// last solve (the configured cap, or less after happy breakdowns on
   /// near-invariant starts); 0 elsewhere.
@@ -245,21 +233,6 @@ struct BackendStats {
   /// Krylov backend: small Hessenberg exponentials evaluated, including
   /// rejected trial steps (each one cached-Pade evaluation); 0 elsewhere.
   std::uint64_t hessenberg_expms = 0;
-  /// Structure of the matrix the hot loop iterates (the compacted
-  /// transpose for the fused uniformisation and krylov engines): maximal
-  /// |col - row|, rows inside >= 4-row equal-length runs -- the rows the
-  /// SIMD gather grouping can take, the metric state reordering exists to
-  /// raise -- and the longest such run.  0 for backends that do not
-  /// report it.
-  std::uint64_t matrix_bandwidth = 0;
-  std::uint64_t groupable_rows = 0;
-  std::uint64_t longest_uniform_run = 0;
-  /// Rows whose offset pattern repeats the previous row's exactly
-  /// (diagonal runs -- the structure a band-sliding kernel exploits) and
-  /// the longest such run; reported by the fused uniformisation engines
-  /// and the ooc backend, 0 elsewhere.
-  std::uint64_t diagonal_rows = 0;
-  std::uint64_t longest_diagonal_run = 0;
   /// Out-of-core backend: tiles in the spill store, tile reads issued
   /// over the whole solve, reads satisfied by the prefetched back buffer
   /// or an already-resident tile, total slab bytes streamed from disk,
@@ -284,8 +257,11 @@ struct BackendStats {
 /// Called with (index, time, distribution) as soon as each requested time
 /// point is ready; curve consumers stream points this way instead of
 /// holding all distributions.
-using PointCallback =
-    std::function<void(std::size_t, double, const std::vector<double>&)>;
+using PointCallback = markov::PointCallback;
+
+/// The uniformisation-loop settings of `options` (what
+/// markov::UniformizationDriver consumes).
+markov::TransientOptions transient_options(const BackendOptions& options);
 
 /// Interface of a transient CTMC solver.  Implementations are stateless
 /// between solve() calls except for last_stats() and internal scratch.
@@ -306,12 +282,6 @@ class TransientBackend {
 
   /// Counters of the most recent solve().
   virtual const BackendStats& last_stats() const = 0;
-
- protected:
-  /// Shared argument validation (dimension, distribution, sorted times).
-  static void check_arguments(const markov::Ctmc& chain,
-                              const std::vector<double>& initial,
-                              const std::vector<double>& times);
 };
 
 /// Factory signature for register_backend().

@@ -340,17 +340,6 @@ double FusedGatherPlan::fused_range_row_offset(
                                dictionary_.data(), weight, row_begin,
                                row_end, tier == kernels::Dispatch::kAvx512);
   }
-  // The legacy within-row gather grouping stays opt-in (see
-  // kernels::gather_grouping): the scalar per-length switch measured
-  // faster on gather-slow parts.
-  if (kernels::gather_grouping() && simd &&
-      rows() <= static_cast<std::size_t>(
-                    std::numeric_limits<std::int32_t>::max())) {
-    return kernels::detail::avx2_plan_fused_rows(
-        lengths_.data(), entry_start_.data(), offsets_.data(),
-        value_ids_.data(), dictionary_.data(), x.data(), out.data(),
-        accum.data(), weight, row_begin, row_end);
-  }
 #endif
   return fused_rows_generic(x.data(), out.data(), accum.data(),
                             dictionary_.data(), weight, row_begin, row_end);

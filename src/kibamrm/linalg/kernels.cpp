@@ -25,15 +25,9 @@ namespace {
 constexpr int kNoPin = -1;
 std::atomic<int> g_pin{kNoPin} KIBAMRM_LOCK_FREE(
     "independent word; relaxed pin visible on the next kernel call");
-std::atomic<bool> g_gather_grouping{false} KIBAMRM_LOCK_FREE(
-    "independent word; relaxed toggle, bits identical either way");
 
 void apply_environment_pin_once() {
   static const bool applied = [] {
-    if (const char* gather = std::getenv("KIBAMRM_SIMD_GATHER")) {
-      const std::string_view value(gather);
-      set_gather_grouping(value == "on" || value == "1" || value == "true");
-    }
     const char* value = std::getenv("KIBAMRM_KERNELS");
     if (value == nullptr) return true;
     try {
@@ -133,15 +127,6 @@ void set_dispatch(Dispatch dispatch) {
 }
 
 void clear_dispatch() { g_pin.store(kNoPin, std::memory_order_relaxed); }
-
-bool gather_grouping() {
-  apply_environment_pin_once();
-  return g_gather_grouping.load(std::memory_order_relaxed);
-}
-
-void set_gather_grouping(bool enabled) {
-  g_gather_grouping.store(enabled, std::memory_order_relaxed);
-}
 
 std::string_view dispatch_name(Dispatch dispatch) {
   switch (dispatch) {

@@ -107,24 +107,6 @@ std::optional<Dispatch> parse_dispatch(std::string_view name);
 /// one build's flags/scripts stay portable across heterogeneous fleets.
 void apply_dispatch(std::string_view name);
 
-/// Whether the SIMD tiers also route the sparse row kernels
-/// (FusedGatherPlan, CsrMatrix::multiply_range) through the legacy
-/// four-rows-per-group *within-row* gather implementations.  Default
-/// OFF: hardware vgatherdpd was measured 1.1-1.4x *slower* than the
-/// tuned scalar per-length switch for that access pattern on every
-/// microarchitecture tested (the row kernels are load-bound, and a
-/// gather's fixed uop cost exceeds four indexed scalar loads there).
-/// This knob is now largely superseded by the uniform-segment kernels,
-/// which vectorise *across* rows on reordered chains (lane = row,
-/// contiguous vector loads) and dispatch automatically whenever
-/// segments exist and a SIMD tier is active -- no flag needed.  The
-/// grouped kernels stay implemented, parity-tested and benchmarked for
-/// chains that never produce segments: set_gather_grouping(true) or
-/// KIBAMRM_SIMD_GATHER=on.  Either way the bits are identical; this
-/// knob only selects machine code.
-bool gather_grouping();
-void set_gather_grouping(bool enabled);
-
 /// Blocks covering n elements: ceil(n / kBlockDoubles) (0 for n == 0).
 std::size_t block_count(std::size_t n);
 

@@ -40,26 +40,6 @@ void avx2_axpy(double alpha, const double* x, double* y, std::size_t n);
 
 void avx2_scale(double* v, double alpha, std::size_t n);
 
-/// CSR gather rows [row_begin, row_end): out[row] = dot(row, x) in the
-/// sequential per-row order of CsrMatrix::multiply_range.
-void avx2_csr_multiply_rows(const std::uint32_t* row_ptr,
-                            const std::uint32_t* col_idx,
-                            const double* values, const double* x,
-                            double* out, std::size_t row_begin,
-                            std::size_t row_end);
-
-/// Fused uniformisation step over the compressed row-offset plan layout
-/// (per-row canonical order of FusedGatherPlan::multiply_fused_range);
-/// returns the range-local sup-norm delta.  `entry_start` indexes the
-/// first stored entry of each row.
-double avx2_plan_fused_rows(const std::uint8_t* lengths,
-                            const std::uint32_t* entry_start,
-                            const std::int16_t* offsets,
-                            const std::uint16_t* value_ids,
-                            const double* dictionary, const double* x,
-                            double* out, double* accum, double weight,
-                            std::size_t row_begin, std::size_t row_end);
-
 /// Fused uniformisation step over one uniform segment: rows
 /// [row_begin, row_end) all store `length` entries (1..4) at the shared
 /// column offsets `offsets[0..length)`, so x loads are contiguous across

@@ -1,263 +1,210 @@
 #include "kibamrm/markov/uniformization.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "kibamrm/common/error.hpp"
 #include "kibamrm/linalg/kernels.hpp"
 #include "kibamrm/linalg/vector_ops.hpp"
-#include "kibamrm/markov/fox_glynn.hpp"
 
 namespace kibamrm::markov {
 
-TransientSolver::TransientSolver(const Ctmc& chain, TransientOptions options)
-    : chain_(chain),
-      options_(options),
-      p_(1, 1),
-      fused_pt_(1, 1),
-      rate_(options.uniformization_rate) {
-  KIBAMRM_REQUIRE(options_.epsilon > 0.0 && options_.epsilon < 1.0,
-                  "transient epsilon must lie in (0,1)");
-  if (rate_ == 0.0) {
-    rate_ = 1.02 * chain_.max_exit_rate();
-    if (rate_ == 0.0) rate_ = 1.0;  // generator is all-absorbing
-  }
-  KIBAMRM_REQUIRE(rate_ * (1.0 + 1e-12) >= chain_.max_exit_rate(),
-                  "uniformization rate below maximal exit rate");
-  p_ = chain_.generator().uniformized(rate_);
+namespace {
 
-  if (options_.fused_kernels) {
-    // The compacted gather structures depend on the initial distribution
-    // and are built lazily by prepare_fused() on the first solve.
+/// Runs range_step(begin, end) over every range -- as pool tasks when a
+/// pool is given and there is more than one range, inline otherwise --
+/// and returns the max of the results.
+template <typename RangeStep>
+double for_each_range(common::ThreadPool* pool,
+                      const std::vector<std::size_t>& ranges,
+                      std::vector<double>& partials, RangeStep&& range_step) {
+  if (pool == nullptr || ranges.size() <= 2) {
+    return range_step(ranges.front(), ranges.back());
+  }
+  pool->parallel_for(partials.size(),
+                     [&](std::size_t shard, std::size_t /*lane*/) {
+                       partials[shard] =
+                           range_step(ranges[shard], ranges[shard + 1]);
+                     });
+  double delta = 0.0;
+  for (const double partial : partials) delta = std::max(delta, partial);
+  return delta;
+}
+
+}  // namespace
+
+std::shared_ptr<const CachedGatherPlan> build_cached_gather_plan(
+    const linalg::CsrMatrix& generator, double rate,
+    std::span<const std::uint32_t> seeds) {
+  auto cached = std::make_shared<CachedGatherPlan>();
+  linalg::CsrMatrix p = generator.uniformized(rate);
+  cached->reachable = p.reachable_rows(seeds);
+  linalg::CsrMatrix pt = p.transposed_submatrix(cached->reachable);
+  p = linalg::CsrMatrix(1, 1);  // only needed for setup
+  cached->structure = linalg::structure_stats(pt);
+  cached->nonzeros = pt.nonzeros();
+  const std::size_t n = pt.rows();
+  const std::span<const std::uint32_t> row_ptr = pt.row_pointers();
+  const std::span<const std::uint32_t> col_idx = pt.column_indices();
+  cached->row_entry_counts.assign(n, 0);
+  cached->row_col_lo.assign(n, 0);
+  cached->row_col_hi.assign(n, 0);
+  for (std::size_t r = 0; r < n; ++r) {
+    const std::uint32_t entries = row_ptr[r + 1] - row_ptr[r];
+    cached->row_entry_counts[r] = entries;
+    if (entries > 0) {
+      // CSR columns are sorted: first/last stored column bound the row's
+      // gather footprint.
+      cached->row_col_lo[r] = col_idx[row_ptr[r]];
+      cached->row_col_hi[r] = col_idx[row_ptr[r + 1] - 1];
+    }
+  }
+  cached->plan = linalg::FusedGatherPlan::build(pt);
+  if (cached->plan) {
+    // The packed layout replaces the CSR copy; chains that fit neither
+    // compressed layout keep the transpose as the kernel fallback.
+    pt = linalg::CsrMatrix(1, 1);
+  }
+  cached->transpose = std::move(pt);
+  return cached;
+}
+
+FusedGatherStep::FusedGatherStep(const CachedGatherPlan& setup,
+                                 common::ThreadPool* pool,
+                                 std::vector<std::size_t> ranges)
+    : setup_(setup),
+      // The mixed tier applies only where a float32 kernel exists (the
+      // row-offset gather plan); other chains silently run the double
+      // kernels -- "mixed" is a throughput hint, not a semantic switch.
+      mixed_(setup.plan && setup.plan->mixed_supported() &&
+             linalg::kernels::active_dispatch() ==
+                 linalg::kernels::Dispatch::kMixed),
+      pool_(pool),
+      ranges_(std::move(ranges)),
+      shard_deltas_(ranges_.size() - 1, 0.0) {
+  const std::size_t n = setup_.rows();
+  if (mixed_) {
+    power_f_.resize(n);
+    next_f_.resize(n);
+  } else {
+    power_.resize(n);
+    next_.resize(n);
+  }
+}
+
+void FusedGatherStep::describe(TransientStats& stats) const {
+  stats.active_nonzeros = setup_.nonzeros;
+  stats.matrix_bandwidth = setup_.structure.bandwidth;
+  stats.groupable_rows = setup_.structure.groupable_rows;
+  stats.longest_uniform_run = setup_.structure.longest_uniform_run;
+  stats.diagonal_rows = setup_.structure.diagonal_rows;
+  stats.longest_diagonal_run = setup_.structure.longest_diagonal_run;
+}
+
+void FusedGatherStep::load(const std::vector<double>& current) {
+  if (mixed_) {
+    for (std::size_t i = 0; i < current.size(); ++i) {
+      power_f_[i] = static_cast<float>(current[i]);
+    }
+  } else {
+    std::copy(current.begin(), current.end(), power_.begin());
+  }
+}
+
+double FusedGatherStep::step(double weight, std::vector<double>& accum) {
+  const double delta = for_each_range(
+      pool_, ranges_, shard_deltas_, [&](std::size_t begin, std::size_t end) {
+        if (mixed_) {
+          return setup_.plan->multiply_fused_range_mixed(
+              power_f_, next_f_, accum, weight, begin, end);
+        }
+        return setup_.plan ? setup_.plan->multiply_fused_range(
+                                 power_, next_, accum, weight, begin, end)
+                           : setup_.transpose.multiply_fused_range(
+                                 power_, next_, accum, weight, begin, end);
+      });
+  if (mixed_) {
+    power_f_.swap(next_f_);
+  } else {
+    power_.swap(next_);
+  }
+  return delta;
+}
+
+void FusedGatherStep::fold(double residual, std::vector<double>& accum) {
+  if (!mixed_) {
+    linalg::axpy(residual, power_, accum);
     return;
   }
-
-  // Partition rows once: absorbing states uniformise to exact unit-diagonal
-  // rows, which the baseline scatter kernel handles without touching the
-  // CSR structure (see CsrMatrix::left_multiply_partitioned).
-  identity_rows_ = p_.identity_rows();
-  active_rows_.reserve(p_.rows() - identity_rows_.size());
-  std::size_t next_identity = 0;
-  for (std::size_t row = 0; row < p_.rows(); ++row) {
-    if (next_identity < identity_rows_.size() &&
-        identity_rows_[next_identity] == row) {
-      ++next_identity;
-    } else {
-      active_rows_.push_back(static_cast<std::uint32_t>(row));
-    }
+  for (std::size_t i = 0; i < accum.size(); ++i) {
+    accum[i] += residual * static_cast<double>(power_f_[i]);
   }
 }
 
-void TransientSolver::prepare_fused(const std::vector<double>& initial) {
-  // The closure of a subset is a subset of the closure, so the cached
-  // machinery stays valid whenever the new support is inside it -- the
-  // common case for solvers reused across initials of the same chain.
-  bool covered = !reachable_.empty();
-  std::vector<std::uint32_t> seeds;
-  for (std::size_t i = 0; i < initial.size(); ++i) {
-    if (initial[i] != 0.0) {
-      seeds.push_back(static_cast<std::uint32_t>(i));
-      if (covered && !reachable_mask_[i]) covered = false;
-    }
-  }
-  if (covered) return;
-  // Grow monotonically so earlier initials stay covered too.
-  seeds.insert(seeds.end(), reachable_.begin(), reachable_.end());
-  std::sort(seeds.begin(), seeds.end());
-  seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
-  reachable_ = p_.reachable_rows(seeds);
-  reachable_mask_.assign(p_.rows(), 0);
-  for (const std::uint32_t row : reachable_) reachable_mask_[row] = 1;
-  fused_pt_ = p_.transposed_submatrix(reachable_);
-  fused_nonzeros_ = fused_pt_.nonzeros();
-  fused_structure_ = linalg::structure_stats(fused_pt_);
-  gather_plan_ = linalg::FusedGatherPlan::build(fused_pt_);
-  if (gather_plan_) {
-    fused_pt_ = linalg::CsrMatrix(1, 1);  // packed layout replaces the CSR
-  }
+GatherReferenceStep::GatherReferenceStep(linalg::CsrMatrix transpose,
+                                         common::ThreadPool* pool,
+                                         std::vector<std::size_t> ranges)
+    : transpose_(std::move(transpose)),
+      pool_(pool),
+      ranges_(std::move(ranges)),
+      shard_deltas_(ranges_.size() - 1, 0.0),
+      power_(transpose_.rows(), 0.0),
+      next_(transpose_.rows(), 0.0) {}
+
+void GatherReferenceStep::describe(TransientStats& stats) const {
+  stats.active_nonzeros = transpose_.nonzeros();
 }
+
+void GatherReferenceStep::load(const std::vector<double>& current) {
+  power_ = current;
+}
+
+double GatherReferenceStep::step(double weight, std::vector<double>& accum) {
+  for_each_range(pool_, ranges_, shard_deltas_,
+                 [&](std::size_t begin, std::size_t end) {
+                   transpose_.multiply_range(power_, next_, begin, end);
+                   return 0.0;
+                 });
+  power_.swap(next_);
+  if (weight != 0.0) linalg::axpy(weight, power_, accum);
+  return 0.0;
+}
+
+void GatherReferenceStep::fold(double residual, std::vector<double>& accum) {
+  linalg::axpy(residual, power_, accum);
+}
+
+TransientSolver::TransientSolver(const Ctmc& chain, TransientOptions options)
+    : chain_(chain),
+      rate_(resolve_uniformization_rate(chain, options.uniformization_rate)),
+      driver_(options) {}
 
 std::vector<std::vector<double>> TransientSolver::solve(
     const std::vector<double>& initial, const std::vector<double>& times,
-    const std::function<void(std::size_t, double, const std::vector<double>&)>&
-        on_point) {
-  KIBAMRM_REQUIRE(initial.size() == chain_.state_count(),
-                  "initial distribution has wrong dimension");
-  KIBAMRM_REQUIRE(linalg::is_probability_vector(initial, 1e-6),
-                  "initial vector is not a probability distribution");
-  KIBAMRM_REQUIRE(std::is_sorted(times.begin(), times.end()),
-                  "time points must be sorted ascending");
-  KIBAMRM_REQUIRE(times.empty() || times.front() >= 0.0,
-                  "time points must be non-negative");
-
+    const PointCallback& on_point) {
+  check_transient_arguments(chain_, initial, times);
   stats_ = TransientStats{};
-  stats_.uniformization_rate = rate_;
-  stats_.time_points = times.size();
-  const std::uint64_t windows_computed_before = plan_.windows_computed();
-  const std::uint64_t windows_reused_before = plan_.windows_reused();
-
-  const bool fused = options_.fused_kernels;
-  if (fused) prepare_fused(initial);
-  // The mixed tier applies only where a float32 kernel exists (the
-  // row-offset gather plan); chains on the CSR or column-delta fallback
-  // silently run the double kernels -- "mixed" is a throughput hint, not
-  // a semantic switch.
-  const bool mixed =
-      fused && gather_plan_ && gather_plan_->mixed_supported() &&
-      linalg::kernels::active_dispatch() == linalg::kernels::Dispatch::kMixed;
-  const bool detect = options_.steady_state_detection && fused;
-  const double threshold = options_.steady_state_threshold > 0.0
-                               ? options_.steady_state_threshold
-                               : options_.epsilon / 2.0;
-
-  std::vector<std::vector<double>> results;
-  results.reserve(times.size());
-
-  // The fused loop runs entirely in the compacted reachable space; the
-  // baseline loop in the full space.
-  stats_.active_states = fused ? reachable_.size() : initial.size();
-  stats_.active_nonzeros = fused ? fused_nonzeros_ : p_.nonzeros();
-  if (fused) {
-    stats_.matrix_bandwidth = fused_structure_.bandwidth;
-    stats_.groupable_rows = fused_structure_.groupable_rows;
-    stats_.longest_uniform_run = fused_structure_.longest_uniform_run;
-    stats_.diagonal_rows = fused_structure_.diagonal_rows;
-    stats_.longest_diagonal_run = fused_structure_.longest_diagonal_run;
+  if (!driver_.options().fused_kernels) {
+    GatherReferenceStep op(chain_.generator().uniformized(rate_).transposed(),
+                           nullptr, {0, chain_.state_count()});
+    return driver_.run(op, rate_, {}, initial, times, on_point, stats_);
   }
-
-  // power_ holds pi(t_k) P^n during an increment; it is (re)filled from
-  // `current` at each increment, so only the other scratch needs sizing.
-  std::vector<double> current;  // pi(t_k), in loop space
-  if (fused) {
-    current.resize(reachable_.size());
-    for (std::size_t i = 0; i < reachable_.size(); ++i) {
-      current[i] = initial[reachable_[i]];
-    }
-    // Emission buffer: unreachable entries are zero forever, so only the
-    // compacted entries are ever rewritten.
-    full_point_.assign(initial.size(), 0.0);
-  } else {
-    current = initial;
-  }
-  next_.assign(current.size(), 0.0);
-  accum_.assign(current.size(), 0.0);
-  double current_time = 0.0;
-
-  // Expands the compacted loop vector into full_point_ for results and
-  // callbacks; pass-through in baseline mode.
-  const auto emit_view =
-      [&](const std::vector<double>& point) -> const std::vector<double>& {
-    if (!fused) return point;
-    for (std::size_t i = 0; i < reachable_.size(); ++i) {
-      full_point_[reachable_[i]] = point[i];
-    }
-    return full_point_;
+  std::vector<std::uint32_t> seeds = support_of(initial);
+  const auto covered = [&](std::uint32_t state) {
+    return std::binary_search(setup_->reachable.begin(),
+                              setup_->reachable.end(), state);
   };
-
-  for (std::size_t idx = 0; idx < times.size(); ++idx) {
-    const double dt = times[idx] - current_time;
-    if (dt > 0.0) {
-      const double lambda = rate_ * dt;
-      const std::shared_ptr<const PoissonWindow> window_ptr =
-          plan_.window(lambda, options_.epsilon);
-      const PoissonWindow& window = *window_ptr;
-      linalg::fill(accum_, 0.0);
-      if (mixed) {
-        power_f_.resize(current.size());
-        next_f_.resize(current.size());
-        for (std::size_t i = 0; i < current.size(); ++i) {
-          power_f_[i] = static_cast<float>(current[i]);
-        }
-      } else {
-        power_ = current;
-      }
-      // n = 0 term (current == pi(t_k) exactly; in mixed mode the double
-      // vector feeds the accumulator so the n = 0 term is full precision).
-      if (window.left == 0) {
-        linalg::axpy(window.weight(0), current, accum_);
-      }
-      std::uint64_t calm_steps = 0;  // consecutive steps inside the budget
-      for (std::uint64_t n = 1; n <= window.right; ++n) {
-        const double weight = n >= window.left ? window.weight(n) : 0.0;
-        double delta = 0.0;
-        if (mixed) {
-          delta = gather_plan_->multiply_fused_range_mixed(
-              power_f_, next_f_, accum_, weight, 0, gather_plan_->rows());
-          power_f_.swap(next_f_);
-        } else if (fused) {
-          delta = gather_plan_
-                      ? gather_plan_->multiply_fused_range(
-                            power_, next_, accum_, weight, 0,
-                            gather_plan_->rows())
-                      : fused_pt_.multiply_fused_range(power_, next_, accum_,
-                                                       weight, 0,
-                                                       fused_pt_.rows());
-          power_.swap(next_);
-        } else {
-          p_.left_multiply_partitioned(power_, next_, active_rows_,
-                                       identity_rows_);
-          power_.swap(next_);
-          if (weight != 0.0) {
-            linalg::axpy(weight, power_, accum_);
-          }
-        }
-        ++stats_.iterations;
-        // Steady-state / absorption short circuit: once the per-step
-        // change can no longer move the result beyond the budget --
-        // (right - n) * delta <= threshold, i.e. a triangle inequality
-        // over the remaining steps assuming the per-step changes keep
-        // shrinking -- the whole residual Poisson tail collapses onto the
-        // converged vector.  The non-amplification assumption is the
-        // classic steady-state-detection heuristic (a uniformised P is
-        // row-stochastic, which does not contract the sup norm in
-        // general); two consecutive in-budget steps guard against a
-        // transient lull, the bound is strictly more conservative than
-        // the usual absolute cut delta <= eps/8 (which measurably
-        // overruns the 10 eps agreement budget on the Fig. 8 chains),
-        // and the detection-on/off agreement tests pin the accuracy.
-        // Keep this block in lockstep with the parallel backend
-        // (engine/parallel_backend.cpp) -- the serial/parallel bitwise
-        // and iteration-equality tests fail on any divergence.
-        if (detect && n < window.right &&
-            static_cast<double>(window.right - n) * delta <= threshold) {
-          if (++calm_steps >= 2) {
-            double residual = 0.0;  // remaining tail mass, summed directly
-            for (std::uint64_t m = n + 1; m <= window.right; ++m) {
-              residual += window.weight(m);
-            }
-            if (residual > 0.0) {
-              if (mixed) {
-                for (std::size_t i = 0; i < accum_.size(); ++i) {
-                  accum_[i] +=
-                      residual * static_cast<double>(power_f_[i]);
-                }
-              } else {
-                linalg::axpy(residual, power_, accum_);
-              }
-            }
-            stats_.iterations_saved += window.right - n;
-            ++stats_.steady_state_hits;
-            break;
-          }
-        } else {
-          calm_steps = 0;
-        }
-      }
-      current.swap(accum_);
-      if (options_.renormalize) {
-        linalg::normalize_probability(current);
-      }
-      current_time = times[idx];
+  if (!setup_ || !std::all_of(seeds.begin(), seeds.end(), covered)) {
+    if (setup_) {
+      seeds.insert(seeds.end(), setup_->reachable.begin(),
+                   setup_->reachable.end());
+      std::sort(seeds.begin(), seeds.end());
+      seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
     }
-    if (options_.collect_results || on_point) {
-      const std::vector<double>& point = emit_view(current);
-      if (options_.collect_results) results.push_back(point);
-      if (on_point) on_point(idx, times[idx], point);
-    }
+    setup_ = build_cached_gather_plan(chain_.generator(), rate_, seeds);
   }
-  stats_.windows_computed = plan_.windows_computed() - windows_computed_before;
-  stats_.windows_reused = plan_.windows_reused() - windows_reused_before;
-  return results;
+  FusedGatherStep op(*setup_, nullptr, {0, setup_->rows()});
+  return driver_.run(op, rate_, setup_->reachable, initial, times, on_point,
+                     stats_);
 }
 
 std::vector<double> transient_distribution(const Ctmc& chain,

@@ -1,189 +1,155 @@
-// Transient solution of CTMCs by uniformisation.
+// Transient solution of CTMCs by uniformisation, in memory.
 //
-// Given a CTMC with generator Q and an initial distribution pi(0), the
-// transient distribution is
-//     pi(t) = sum_{n>=0} Pois(q t; n) * pi(0) P^n,   P = I + Q/q,
-// truncated with Fox-Glynn windows.  This is the computational core of the
-// paper's Markovian approximation (Sec. 5): the expanded battery chain Q* is
-// solved with exactly this routine.
+// The loop itself (Fox-Glynn windows, weights, steady-state detection,
+// renormalise, emit) is markov::UniformizationDriver.  This header holds
+// the in-memory side:
 //
-// Multiple time points are handled *incrementally*: pi(t_{k+1}) is computed
-// from pi(t_k) over the increment t_{k+1} - t_k, so a whole lifetime curve
-// costs about as many matrix-vector products as its final time point alone
-// (q * t_max plus a Fox-Glynn window per point).
+//   * CachedGatherPlan -- the immutable per-chain setup of a fused solve:
+//     the reachable closure of the initial support (the paper's expanded
+//     battery chains reach only ~half their states from the full-charge
+//     start), the compacted transpose of P and its compressed gather plan.
+//   * FusedGatherStep -- the production step operator: each output entry
+//     is one short gather over the compacted transpose, finished in the
+//     same pass with the Poisson-weighted accumulation and the
+//     steady-state delta; double or float32 ("mixed") tier; inline or
+//     sharded across a thread pool with a max-reduce of the deltas.
+//   * GatherReferenceStep -- the pre-fusion reference (plain gather spmv
+//     plus a separate axpy over the full transpose), selected by
+//     fused_kernels = false.
+//   * TransientSolver -- the serial front door: driver + one of the two
+//     operators on one lane.
 //
-// Three hot-loop optimisations stack on top (all on by default, each
-// toggleable for A/B measurement): the fused kernel folds the
-// Poisson-weighted accumulation and the steady-state delta into the spmv's
-// finishing sweep, steady-state detection short-circuits the window tail
-// once the power iteration has converged (the dominant win on long-horizon
-// absorbing chains), and Fox-Glynn windows are memoised per (lambda,
-// epsilon) so uniform time grids compute one window per curve.
+// Every output entry is summed in the fixed storage order of its row, so
+// the result is bitwise identical for every thread count and shard
+// partition.
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
+#include "kibamrm/common/thread_pool.hpp"
+#include "kibamrm/linalg/csr_matrix.hpp"
 #include "kibamrm/linalg/fused_gather.hpp"
 #include "kibamrm/linalg/permutation.hpp"
 #include "kibamrm/markov/ctmc.hpp"
-#include "kibamrm/markov/fox_glynn.hpp"
+#include "kibamrm/markov/uniformization_driver.hpp"
 
 namespace kibamrm::markov {
 
-struct TransientOptions {
-  /// Total truncation error budget per time increment.
-  double epsilon = 1e-10;
-  /// Uniformisation rate; 0 selects 1.02 * max_exit_rate automatically.
-  /// (A rate slightly above the maximum keeps the diagonal of P positive,
-  /// which damps oscillation in stiff chains.)
-  double uniformization_rate = 0.0;
-  /// Re-normalise the distribution after every time increment to counter
-  /// accumulated round-off on long curves.
-  bool renormalize = true;
-  /// When false, solve() returns an empty vector: callers that stream
-  /// points through the callback skip the time_points * states copy.
-  bool collect_results = true;
-  /// Use the fused spmv+accumulate kernel (one finishing sweep per
-  /// iteration instead of a separate axpy, and the steady-state delta for
-  /// free).  False selects the pre-fusion loop, kept as the measured
-  /// baseline for the perf gates and as a cross-check.
-  bool fused_kernels = true;
-  /// Steady-state / absorption early termination: once
-  /// (window.right - n) * ||pi P^n - pi P^(n-1)||_inf <= threshold on two
-  /// consecutive steps, the rest of the window is short-circuited by
-  /// adding the entire residual tail mass times the converged vector.
-  /// This is the classic PRISM/MRMC steady-state heuristic with a
-  /// budgeted bound in place of the usual absolute cut: exact when the
-  /// per-step changes keep shrinking (they do once the chain has settled;
-  /// a row-stochastic P does not contract the sup norm in general, which
-  /// is why the consecutive-step guard and the detection-on/off agreement
-  /// tests back the bound empirically).  On long horizons of absorbing
-  /// chains (the battery-empty tail of Fig. 8) this skips most of the
-  /// window.  Requires fused_kernels (the delta is a by-product of the
-  /// fused sweep); ignored when fused_kernels is false.
-  bool steady_state_detection = true;
-  /// Detection threshold; 0 selects epsilon / 2, charging the detection
-  /// error against the same per-increment budget as the Fox-Glynn
-  /// truncation so the overall guarantee keeps its order.
-  double steady_state_threshold = 0.0;
+/// The immutable per-chain setup of a fused uniformisation solve.  Built
+/// once (build_cached_gather_plan), then only read -- so it can be shared
+/// across solves and threads (engine::GatherPlanCache).
+struct CachedGatherPlan {
+  /// Sorted reachable closure of the initial support (full-chain state
+  /// ids); the loop dimension is reachable.size().
+  std::vector<std::uint32_t> reachable;
+  /// Per-row stored-entry counts of the compacted transpose, plus each
+  /// row's first/last stored column -- enough to shard and partition
+  /// without keeping the CSR arrays alive (linalg::ShardPlan and the
+  /// gather shard split both run off these).
+  std::vector<std::uint32_t> row_entry_counts;
+  std::vector<std::uint32_t> row_col_lo;
+  std::vector<std::uint32_t> row_col_hi;
+  std::uint64_t nonzeros = 0;
+  linalg::StructureStats structure;
+  /// Compressed kernel plan; nullopt when the chain fits neither layout.
+  std::optional<linalg::FusedGatherPlan> plan;
+  /// CSR fallback, retained only when `plan` could not build (the
+  /// compressed layout otherwise replaces it).
+  linalg::CsrMatrix transpose{1, 1};
+
+  std::size_t rows() const { return row_entry_counts.size(); }
 };
 
-/// Cost counters for complexity experiments (Sec. 5.3 / Sec. 6.1 quote
-/// iteration counts; bench/ablation_complexity reproduces them).
-struct TransientStats {
-  std::uint64_t iterations = 0;     // total DTMC steps (= matrix products)
-  std::uint64_t time_points = 0;    // number of requested outputs
-  double uniformization_rate = 0.0;
-  /// Poisson terms short-circuited by steady-state detection; iterations +
-  /// iterations_saved equals the full Fox-Glynn term count, independent of
-  /// whether and where detection fired.
-  std::uint64_t iterations_saved = 0;
-  /// Time increments on which detection fired.
-  std::uint64_t steady_state_hits = 0;
-  /// Fox-Glynn windows computed / served from the plan cache this solve;
-  /// a uniform time grid computes exactly one.
-  std::uint64_t windows_computed = 0;
-  std::uint64_t windows_reused = 0;
-  /// States inside the reachable closure of the initial distribution --
-  /// the dimension the fused loop actually iterates.  Equals the full
-  /// state count for the baseline loop (no compaction) and for chains
-  /// whose closure is everything.
-  std::uint64_t active_states = 0;
-  /// Stored entries of the matrix the loop actually iterates (the
-  /// compacted transpose in fused mode, the full uniformised P in
-  /// baseline mode) -- the honest per-iteration work unit for throughput
-  /// metrics.
-  std::uint64_t active_nonzeros = 0;
-  /// Structure of the iterated matrix (fused mode; 0 in baseline mode):
-  /// maximal |col - row|, rows inside >= 4-row equal-length runs (what
-  /// the SIMD gather grouping can take -- the metric state reordering
-  /// exists to raise) and the longest such run.
-  std::uint64_t matrix_bandwidth = 0;
-  std::uint64_t groupable_rows = 0;
-  std::uint64_t longest_uniform_run = 0;
-  /// Rows repeating the previous row's full offset pattern (diagonal
-  /// runs) and the longest such run; see linalg::StructureStats.
-  std::uint64_t diagonal_rows = 0;
-  std::uint64_t longest_diagonal_run = 0;
+/// Uniformises `generator` at `rate`, compacts to the reachable closure
+/// of `seeds` and builds the gather plan.
+std::shared_ptr<const CachedGatherPlan> build_cached_gather_plan(
+    const linalg::CsrMatrix& generator, double rate,
+    std::span<const std::uint32_t> seeds);
+
+/// In-memory fused step over a CachedGatherPlan (the compressed plan, or
+/// its CSR fallback).  `ranges` partitions the rows (ascending, front 0,
+/// back rows()); with a non-null `pool` and more than one range, every
+/// step runs the ranges as pool tasks and reduces their deltas by max
+/// (order independent, so detection decides identically at every
+/// partition).  The float32 mixed tier engages when the active kernel
+/// dispatch is "mixed" and the plan carries a float kernel; the power
+/// iteration then streams float32 while the accumulator stays double.
+class FusedGatherStep final : public StepOperator {
+ public:
+  FusedGatherStep(const CachedGatherPlan& setup, common::ThreadPool* pool,
+                  std::vector<std::size_t> ranges);
+
+  void describe(TransientStats& stats) const override;
+  void load(const std::vector<double>& current) override;
+  double step(double weight, std::vector<double>& accum) override;
+  void fold(double residual, std::vector<double>& accum) override;
+
+ private:
+  const CachedGatherPlan& setup_;
+  bool mixed_;
+  common::ThreadPool* pool_;
+  std::vector<std::size_t> ranges_;
+  std::vector<double> shard_deltas_;
+  std::vector<double> power_;
+  std::vector<double> next_;
+  std::vector<float> power_f_;
+  std::vector<float> next_f_;
 };
 
-/// Computes pi(t) for each t in `times` (must be sorted ascending, >= 0).
-/// Returns one distribution per time point.  `on_point`, when given, is
-/// called with (index, time, distribution) as soon as each point is ready --
-/// the bench harness streams curve points this way.
+/// Pre-fusion reference step over the full transpose of P: gather spmv
+/// (pool-sharded like FusedGatherStep), then accum += weight * power.
+/// Reports no delta, so steady-state detection stays off.
+class GatherReferenceStep final : public StepOperator {
+ public:
+  GatherReferenceStep(linalg::CsrMatrix transpose, common::ThreadPool* pool,
+                      std::vector<std::size_t> ranges);
+
+  void describe(TransientStats& stats) const override;
+  void load(const std::vector<double>& current) override;
+  double step(double weight, std::vector<double>& accum) override;
+  void fold(double residual, std::vector<double>& accum) override;
+  bool reports_delta() const override { return false; }
+
+ private:
+  linalg::CsrMatrix transpose_;
+  common::ThreadPool* pool_;
+  std::vector<std::size_t> ranges_;
+  std::vector<double> shard_deltas_;  // unused results of the range runs
+  std::vector<double> power_;
+  std::vector<double> next_;
+};
+
+/// Computes pi(t) for each t in `times` (must be sorted ascending, >= 0)
+/// on one lane.  Returns one distribution per time point.  `on_point`,
+/// when given, is called with (index, time, distribution) as soon as each
+/// point is ready.
 class TransientSolver {
  public:
   explicit TransientSolver(const Ctmc& chain, TransientOptions options = {});
 
   std::vector<std::vector<double>> solve(
       const std::vector<double>& initial, const std::vector<double>& times,
-      const std::function<void(std::size_t, double, const std::vector<double>&)>&
-          on_point = nullptr);
+      const PointCallback& on_point = nullptr);
 
   const TransientStats& last_stats() const { return stats_; }
 
  private:
-  /// Rebuilds the fused-loop machinery (reachable closure, compacted
-  /// transpose, packed kernel plan) unless the cached closure already
-  /// covers the support of `initial`.
-  void prepare_fused(const std::vector<double>& initial);
-
   const Ctmc& chain_;
-  TransientOptions options_;
-  linalg::CsrMatrix p_;  // uniformised transition matrix
-  // Fused-loop machinery: the loop runs in the *compacted* state space of
-  // the reachable closure of the initial support (the paper's expanded
-  // battery chains reach only ~half their states from the full-charge
-  // start), gathering over the compacted transpose of P -- each output
-  // entry is one short CSR-row gather, which the fused kernel finishes
-  // with the accumulate and the steady-state delta in the same pass.
-  // Rebuilt per solve only when a new initial escapes the cached closure.
-  linalg::CsrMatrix fused_pt_;  // compacted transpose (CSR fallback kernel)
-  // Compressed kernel plan over fused_pt_ (dictionary values + int16
-  // offsets); when it builds -- it does for every expanded battery chain
-  // -- fused_pt_ is released and the loop runs on the packed layout.
-  std::optional<linalg::FusedGatherPlan> gather_plan_;
-  std::vector<std::uint32_t> reachable_;      // compact index -> full state
-  std::vector<std::uint8_t> reachable_mask_;  // full-space membership
-  std::size_t fused_nonzeros_ = 0;  // entries of the compacted matrix
-  // Structure of the compacted transpose, captured at plan build (the CSR
-  // form may be released afterwards) and copied into every solve's stats.
-  linalg::StructureStats fused_structure_;
   double rate_;
+  UniformizationDriver driver_;
+  // Fused setup, rebuilt only when a new initial escapes its closure (the
+  // closure then grows monotonically, so earlier initials stay covered).
+  std::shared_ptr<const CachedGatherPlan> setup_;
   TransientStats stats_;
-  // Baseline-loop fast path: rows of P that are exact unit diagonals (the
-  // absorbing j1 = 0 layer of the expanded battery chain) are skipped by
-  // the scatter kernel; their mass is carried over directly.
-  std::vector<std::uint32_t> identity_rows_;
-  std::vector<std::uint32_t> active_rows_;
-  // Scratch reused across time increments and across solve() calls: a whole
-  // lifetime curve performs zero per-increment allocations.  In fused mode
-  // these live in the compacted space; full_point_ is the full-dimension
-  // buffer results and callbacks are expanded into.
-  std::vector<double> power_;
-  std::vector<double> next_;
-  std::vector<double> accum_;
-  std::vector<double> full_point_;
-  // Mixed-tier scratch (kernels::Dispatch::kMixed + a row-offset gather
-  // plan): the power iteration streams float32 vectors while accum_ and
-  // current stay double, so the emitted curve only carries the float
-  // operand rounding of the in-window products.
-  std::vector<float> power_f_;
-  std::vector<float> next_f_;
-  // Fox-Glynn windows memoised across increments and solve() calls --
-  // uniform time grids compute one window per curve instead of one per
-  // point.
-  UniformizationPlan plan_;
 };
 
 /// One-shot convenience: transient distribution at a single time point.
-/// Thin wrapper over TransientSolver that pays the full construction cost
-/// (uniformised matrix copy, row partition) on every call -- callers that
-/// solve the same chain at several times should construct one
-/// TransientSolver and reuse it (or pass all times to one solve()).
+/// Callers that solve the same chain at several times should construct
+/// one TransientSolver and pass all times to one solve().
 std::vector<double> transient_distribution(const Ctmc& chain,
                                            const std::vector<double>& initial,
                                            double time,

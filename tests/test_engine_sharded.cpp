@@ -289,19 +289,21 @@ TEST(ScenarioBatch, SharesOnePlanAcrossIdenticalStructures) {
     scenarios.push_back({"h=" + std::to_string(horizon), fig8_kibam(), 300.0,
                          core::uniform_grid(6000.0, horizon, 6)});
   }
-  ScenarioBatch batch({.engine = "parallel", .threads = 2});
-  const auto results = batch.solve_all(scenarios);
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_EQ(batch.last_stats().plans_built, 1u);
-  EXPECT_EQ(batch.last_stats().plans_reused, 2u);
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    ASSERT_TRUE(results[i].curve.has_value());
-    core::MarkovianApproximation solo(
-        scenarios[i].model,
-        {.delta = scenarios[i].delta, .engine = "parallel", .threads = 1});
-    EXPECT_EQ(results[i].curve->probabilities(),
-              solo.solve(scenarios[i].times).probabilities())
-        << "cache hit changed scenario " << i;
+  for (const std::string engine : {"parallel", "uniformization"}) {
+    ScenarioBatch batch({.engine = engine, .threads = 2});
+    const auto results = batch.solve_all(scenarios);
+    ASSERT_EQ(results.size(), 3u);
+    EXPECT_EQ(batch.last_stats().plans_built, 1u) << engine;
+    EXPECT_EQ(batch.last_stats().plans_reused, 2u) << engine;
+    for (std::size_t i = 0; i < scenarios.size(); ++i) {
+      ASSERT_TRUE(results[i].curve.has_value());
+      core::MarkovianApproximation solo(
+          scenarios[i].model,
+          {.delta = scenarios[i].delta, .engine = "parallel", .threads = 1});
+      EXPECT_EQ(results[i].curve->probabilities(),
+                solo.solve(scenarios[i].times).probabilities())
+          << "cache hit changed scenario " << i << " (" << engine << ")";
+    }
   }
 }
 

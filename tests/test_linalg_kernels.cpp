@@ -32,15 +32,11 @@ std::vector<double> random_vector(std::size_t n, unsigned seed) {
   return v;
 }
 
-/// Restores the process-global dispatch pin (and the opt-in gather
-/// grouping) on scope exit -- these tests mutate shared state other
-/// suites rely on.
+/// Restores the process-global dispatch pin on scope exit -- these tests
+/// mutate shared state other suites rely on.
 class DispatchGuard {
  public:
-  ~DispatchGuard() {
-    k::clear_dispatch();
-    k::set_gather_grouping(false);
-  }
+  ~DispatchGuard() { k::clear_dispatch(); }
 };
 
 bool tier_runnable(k::Dispatch tier) {
@@ -187,8 +183,7 @@ TEST(KernelAxpyScale, ScalarSimdParityBitwise) {
 }
 
 // Banded matrix with mixed row lengths: long runs of equal-length rows
-// (the SIMD grouped path) broken by ragged rows (the scalar fallback
-// inside the AVX2 kernel).
+// broken by ragged rows.
 CsrMatrix mixed_bands(std::size_t n) {
   CooBuilder builder(n, n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -210,72 +205,6 @@ CsrMatrix mixed_bands(std::size_t n) {
     builder.add(i, i, 1.0 - off);
   }
   return builder.build();
-}
-
-TEST(KernelCsrMultiplyRange, ScalarAvx2ParityBitwise) {
-  if (!avx2_runnable()) GTEST_SKIP() << "CPU lacks AVX2+FMA";
-  DispatchGuard guard;
-  k::set_gather_grouping(true);
-  const std::size_t n = 3001;
-  const CsrMatrix pt = mixed_bands(n).transposed();
-  const auto x = random_vector(n, 9);
-  std::vector<double> out_scalar(n, 0.0), out_avx2(n, 0.0);
-  k::set_dispatch(k::Dispatch::kScalar);
-  pt.multiply_range(x, out_scalar, 0, n);
-  k::set_dispatch(k::Dispatch::kAvx2);
-  pt.multiply_range(x, out_avx2, 0, n);
-  EXPECT_EQ(out_scalar, out_avx2);
-  // Partial ranges land mid-run of equal-length rows: grouping must not
-  // depend on where the range starts.
-  std::vector<double> out_ranges(n, 0.0);
-  pt.multiply_range(x, out_ranges, 1001, n);
-  pt.multiply_range(x, out_ranges, 0, 1001);
-  EXPECT_EQ(out_ranges, out_scalar);
-}
-
-TEST(KernelFusedGatherPlan, ScalarAvx2ParityBitwise) {
-  if (!avx2_runnable()) GTEST_SKIP() << "CPU lacks AVX2+FMA";
-  DispatchGuard guard;
-  k::set_gather_grouping(true);
-  const std::size_t n = 2503;
-  const CsrMatrix pt = mixed_bands(n).transposed();
-  const auto plan = FusedGatherPlan::build(pt);
-  ASSERT_TRUE(plan.has_value());
-  ASSERT_EQ(plan->layout(), FusedGatherPlan::Layout::kRowOffset);
-  const auto x = random_vector(n, 10);
-  std::vector<double> out_s(n, 0.0), accum_s(n, 0.125);
-  std::vector<double> out_v(n, 0.0), accum_v(n, 0.125);
-  k::set_dispatch(k::Dispatch::kScalar);
-  const double delta_s =
-      plan->multiply_fused_range(x, out_s, accum_s, 0.25, 0, n);
-  k::set_dispatch(k::Dispatch::kAvx2);
-  const double delta_v =
-      plan->multiply_fused_range(x, out_v, accum_v, 0.25, 0, n);
-  EXPECT_EQ(out_s, out_v);
-  EXPECT_EQ(accum_s, accum_v);
-  EXPECT_EQ(delta_s, delta_v);
-  // And the SIMD tier still matches the CSR reference kernel bitwise.
-  std::vector<double> out_csr(n, 0.0), accum_csr(n, 0.125);
-  const double delta_csr =
-      pt.multiply_fused_range(x, out_csr, accum_csr, 0.25, 0, n);
-  EXPECT_EQ(out_v, out_csr);
-  EXPECT_EQ(accum_v, accum_csr);
-  EXPECT_EQ(delta_v, delta_csr);
-}
-
-TEST(KernelFusedGatherPlan, ZeroWeightParityAndSkip) {
-  if (!avx2_runnable()) GTEST_SKIP() << "CPU lacks AVX2+FMA";
-  DispatchGuard guard;
-  k::set_gather_grouping(true);
-  const std::size_t n = 1024;
-  const CsrMatrix pt = mixed_bands(n).transposed();
-  const auto plan = FusedGatherPlan::build(pt);
-  ASSERT_TRUE(plan.has_value());
-  const auto x = random_vector(n, 11);
-  std::vector<double> out(n, 0.0), accum(n, 0.5);
-  k::set_dispatch(k::Dispatch::kAvx2);
-  plan->multiply_fused_range(x, out, accum, 0.0, 0, n);
-  for (const double a : accum) EXPECT_EQ(a, 0.5);
 }
 
 // Pure banded matrix: after transposition every interior row has the
