@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <iostream>
 #include <sstream>
@@ -176,6 +177,10 @@ int run_main(int argc, const char* const* argv,
     std::cerr << "error: " << error.what() << '\n';
     return 2;
   } catch (const Error& error) {
+    std::cerr << "error: " << error.what() << '\n';
+    return 1;
+  } catch (const std::exception& error) {
+    // Out of memory, thread creation, filesystem: still an exit code.
     std::cerr << "error: " << error.what() << '\n';
     return 1;
   }

@@ -99,8 +99,8 @@ class CliArgs {
 /// The main() of every bench and example driver: parses argv, runs `body`
 /// and returns its exit status.  --help prints the declared options and
 /// returns 0; InvalidArgument (a bad flag or value) prints one line to
-/// stderr and returns 2; any other kibamrm::Error prints one line and
-/// returns 1.
+/// stderr and returns 2; any other kibamrm::Error or std::exception
+/// prints one line and returns 1.
 int run_main(int argc, const char* const* argv,
              const std::function<int(CliArgs&)>& body);
 

@@ -35,9 +35,13 @@ MarkovianApproximation::MarkovianApproximation(const KibamRmModel& model,
 LifetimeCurve MarkovianApproximation::solve(const std::vector<double>& times) {
   LifetimeCurve curve = solve_empty_probability_curve(expanded_, *backend_,
                                                       times, options_.epsilon);
-  static_cast<engine::BackendStats&>(stats_) = backend_->last_stats();
-  stats_.uniformization_iterations = stats_.iterations;
+  stats_.assign(backend_->last_stats());
   return curve;
+}
+
+void ApproximationStats::assign(const engine::BackendStats& backend) {
+  static_cast<engine::BackendStats&>(*this) = backend;
+  uniformization_iterations = iterations;
 }
 
 LifetimeCurve solve_empty_probability_curve(const ExpandedChain& expanded,

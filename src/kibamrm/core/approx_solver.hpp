@@ -80,6 +80,10 @@ struct ApproximationStats : engine::BackendStats {
   /// Equals `iterations`; the name the Sec. 6.1 experiments and their
   /// tests read.
   std::uint64_t uniformization_iterations = 0;
+
+  /// Takes the engine's counters of a finished solve and keeps the
+  /// `uniformization_iterations` alias in step; the chain fields stay.
+  void assign(const engine::BackendStats& backend);
 };
 
 class MarkovianApproximation {

@@ -81,9 +81,7 @@ std::vector<ScenarioResult> ScenarioBatch::solve_all(
         try {
           result.curve = core::solve_empty_probability_curve(
               expanded, *scratch.backend, scenario.times, options_.epsilon);
-          static_cast<BackendStats&>(result.stats) =
-              scratch.backend->last_stats();
-          result.stats.uniformization_iterations = result.stats.iterations;
+          result.stats.assign(scratch.backend->last_stats());
         } catch (const UnsupportedChainError& error) {
           result.skipped = true;
           result.skip_reason = error.what();

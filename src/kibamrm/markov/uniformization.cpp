@@ -184,9 +184,13 @@ std::vector<std::vector<double>> TransientSolver::solve(
   check_transient_arguments(chain_, initial, times);
   stats_ = TransientStats{};
   if (!driver_.options().fused_kernels) {
-    GatherReferenceStep op(chain_.generator().uniformized(rate_).transposed(),
-                           nullptr, {0, chain_.state_count()});
-    return driver_.run(op, rate_, {}, initial, times, on_point, stats_);
+    if (!reference_) {
+      reference_.emplace(chain_.generator().uniformized(rate_).transposed(),
+                         nullptr,
+                         std::vector<std::size_t>{0, chain_.state_count()});
+    }
+    return driver_.run(*reference_, rate_, {}, initial, times, on_point,
+                       stats_);
   }
   std::vector<std::uint32_t> seeds = support_of(initial);
   const auto covered = [&](std::uint32_t state) {

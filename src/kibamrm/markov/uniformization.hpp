@@ -144,6 +144,8 @@ class TransientSolver {
   // Fused setup, rebuilt only when a new initial escapes its closure (the
   // closure then grows monotonically, so earlier initials stay covered).
   std::shared_ptr<const CachedGatherPlan> setup_;
+  // Reference operator of fused_kernels = false, built on its first solve.
+  std::optional<GatherReferenceStep> reference_;
   TransientStats stats_;
 };
 

@@ -207,6 +207,49 @@ CsrMatrix mixed_bands(std::size_t n) {
   return builder.build();
 }
 
+TEST(KernelFusedGatherPlan, ScalarAvx2ParityBitwise) {
+  if (!avx2_runnable()) GTEST_SKIP() << "CPU lacks AVX2+FMA";
+  DispatchGuard guard;
+  const std::size_t n = 2503;
+  const CsrMatrix pt = mixed_bands(n).transposed();
+  const auto plan = FusedGatherPlan::build(pt);
+  ASSERT_TRUE(plan.has_value());
+  ASSERT_EQ(plan->layout(), FusedGatherPlan::Layout::kRowOffset);
+  const auto x = random_vector(n, 10);
+  std::vector<double> out_s(n, 0.0), accum_s(n, 0.125);
+  std::vector<double> out_v(n, 0.0), accum_v(n, 0.125);
+  k::set_dispatch(k::Dispatch::kScalar);
+  const double delta_s =
+      plan->multiply_fused_range(x, out_s, accum_s, 0.25, 0, n);
+  k::set_dispatch(k::Dispatch::kAvx2);
+  const double delta_v =
+      plan->multiply_fused_range(x, out_v, accum_v, 0.25, 0, n);
+  EXPECT_EQ(out_s, out_v);
+  EXPECT_EQ(accum_s, accum_v);
+  EXPECT_EQ(delta_s, delta_v);
+  // And the SIMD tier still matches the CSR reference kernel bitwise.
+  std::vector<double> out_csr(n, 0.0), accum_csr(n, 0.125);
+  const double delta_csr =
+      pt.multiply_fused_range(x, out_csr, accum_csr, 0.25, 0, n);
+  EXPECT_EQ(out_v, out_csr);
+  EXPECT_EQ(accum_v, accum_csr);
+  EXPECT_EQ(delta_v, delta_csr);
+}
+
+TEST(KernelFusedGatherPlan, ZeroWeightParityAndSkip) {
+  if (!avx2_runnable()) GTEST_SKIP() << "CPU lacks AVX2+FMA";
+  DispatchGuard guard;
+  const std::size_t n = 1024;
+  const CsrMatrix pt = mixed_bands(n).transposed();
+  const auto plan = FusedGatherPlan::build(pt);
+  ASSERT_TRUE(plan.has_value());
+  const auto x = random_vector(n, 11);
+  std::vector<double> out(n, 0.0), accum(n, 0.5);
+  k::set_dispatch(k::Dispatch::kAvx2);
+  plan->multiply_fused_range(x, out, accum, 0.0, 0, n);
+  for (const double a : accum) EXPECT_EQ(a, 0.5);
+}
+
 // Pure banded matrix: after transposition every interior row has the
 // same length and the same offset pattern, so the gather plan covers
 // nearly all rows with uniform segments -- the structure the level-major

@@ -8,7 +8,9 @@
 #include <utility>
 #include <vector>
 
+#include "kibamrm/markov/ctmc.hpp"
 #include "kibamrm/markov/fox_glynn.hpp"
+#include "kibamrm/markov/uniformization.hpp"
 #include "kibamrm/markov/uniformization_driver.hpp"
 
 namespace kibamrm::markov {
@@ -131,6 +133,25 @@ TEST(UniformizationDriver, OperatorWithoutDeltaNeverDetects) {
   driver.run(op, 1.0, {}, {1.0}, {kLambda}, nullptr, stats);
   EXPECT_EQ(stats.iterations, fox_glynn(kLambda, kEpsilon).right);
   EXPECT_EQ(stats.steady_state_hits, 0u);
+}
+
+TEST(UniformizationDriver, ReusedReferenceSolverMatchesFreshOnes) {
+  // The reference operator is built once per solver and reloaded on every
+  // solve; a reused solver must give what a fresh one gives, bit for bit.
+  const Ctmc chain = ctmc_from_rates({{0.0, 1.2, 0.3, 0.0},
+                                      {0.4, 0.0, 2.0, 0.1},
+                                      {0.0, 0.7, 0.0, 0.9},
+                                      {1.5, 0.0, 0.2, 0.0}});
+  const TransientOptions options{.fused_kernels = false};
+  const std::vector<double> times = {0.5, 3.0};
+  const std::vector<std::vector<double>> initials = {{1.0, 0.0, 0.0, 0.0},
+                                                     {0.0, 0.0, 0.5, 0.5}};
+  TransientSolver reused(chain, options);
+  for (const auto& initial : initials) {
+    TransientSolver fresh(chain, options);
+    EXPECT_EQ(reused.solve(initial, times), fresh.solve(initial, times));
+    EXPECT_EQ(reused.last_stats().iterations, fresh.last_stats().iterations);
+  }
 }
 
 }  // namespace
