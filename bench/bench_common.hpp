@@ -26,13 +26,11 @@
 //                   sanitizer runs.  An unavailable SIMD tier falls back
 //                   to the best supported one with a stderr note.)
 //   --reorder R     state ordering of the expanded chain:
-//                   none | level | rcm (default: the library default,
-//                   level, which packs the charge-major runs the SIMD
-//                   gather tiers vectorise across; none is the natural
-//                   reference numbering, rcm minimises bandwidth.
-//                   Results are inverse-permuted: level curves equal
-//                   none bitwise on two-well chains, rcm agrees within
-//                   10 eps)
+//                   none | level (default: the library default, level,
+//                   which packs the charge-major runs the SIMD gather
+//                   tiers vectorise across; none is the natural
+//                   reference numbering.  Results are inverse-permuted:
+//                   level curves equal none bitwise on two-well chains)
 #pragma once
 
 #include <chrono>
@@ -68,7 +66,7 @@ inline std::string kernel_choice(const common::CliArgs& args) {
 /// (core::ApproximationOptions::reorder) when absent.
 inline std::string reorder_choice(const common::CliArgs& args) {
   return args.get_choice("reorder", core::ApproximationOptions{}.reorder,
-                         {"none", "level", "rcm"});
+                         {"none", "level"});
 }
 
 /// Applies --kernels to the process-global dispatch immediately (so even
@@ -210,22 +208,11 @@ inline std::size_t resolved_thread_count(const std::string& engine,
 /// the pre-fusion baseline loop, --no-detect disables steady-state early
 /// termination (uniformisation engines; other engines ignore both),
 /// --tile-mb N and --spill-dir PATH size and place the "ooc" engine's
-/// streamed tile store (other engines ignore them).
-inline void apply_engine_tuning(const common::CliArgs& args,
-                                core::ApproximationOptions& options) {
-  options.fused_kernels = !args.has("no-fuse");
-  options.steady_state_detection = !args.has("no-detect");
-  options.kernel_dispatch = kernel_choice(args);
-  options.reorder = reorder_choice(args);
-  options.tile_bytes =
-      static_cast<std::size_t>(args.get_positive_int("tile-mb", 8)) << 20;
-  options.spill_dir = args.get_directory("spill-dir", "");
-  options.shards =
-      static_cast<std::size_t>(args.get_positive_int("shards", 1));
-}
-
-inline void apply_engine_tuning(const common::CliArgs& args,
-                                engine::ScenarioBatchOptions& options) {
+/// streamed tile store (other engines ignore them).  Options is
+/// core::ApproximationOptions or engine::ScenarioBatchOptions, which
+/// carry these knobs under the same names.
+template <typename Options>
+void apply_engine_tuning(const common::CliArgs& args, Options& options) {
   options.fused_kernels = !args.has("no-fuse");
   options.steady_state_detection = !args.has("no-detect");
   options.kernel_dispatch = kernel_choice(args);

@@ -18,15 +18,19 @@ Usage:
                            [--min-value 0.05]
 
 `record` scans BUILD_DIR (default: ./build next to the repo root) for
-BENCH_*.json, keeps the informative fields, and appends one JSON line.
+BENCH_*.json, keeps the informative fields, and appends one JSON line
+tagged with the recording machine (CPU model + core count).
 `show` prints a per-run summary of the recorded fig8 wall times --
 the quick "did that PR move the needle" view.
 `gate` is the trend gate the CI perf job runs: it compares a fresh
 build directory's BENCH_*.json (or, without --dir, the newest history
 line) against the *median* of the matching configurations across all
-earlier history lines, and fails (exit 1) when any configuration
-regressed by more than the threshold (default 20%).  Configurations
-are matched on (bench, engine, delta, threads, kernels, reorder, shards,
+earlier history lines recorded on the same machine, and fails (exit 1)
+when any configuration regressed by more than the threshold (default
+20%).  Wall times from another CPU say nothing about this change, so a
+new machine starts its own trend; lines recorded before the machine
+tag existed count as one machine, "unknown".  Configurations are
+matched on (bench, engine, delta, threads, kernels, reorder, shards,
 scenario), so a new kernel tier or ordering starts its own trend
 instead of tripping the gate; values below --min-value seconds are
 noise and never gate.
@@ -37,6 +41,7 @@ import datetime
 import glob
 import json
 import os
+import platform
 import subprocess
 import sys
 
@@ -47,6 +52,29 @@ DEFAULT_HISTORY = os.path.join(SCRIPT_DIR, "history", "history.jsonl")
 # trajectory query actually consumes.
 MICRO_FIELDS = ("name", "real_time", "cpu_time", "time_unit",
                 "bytes_per_second", "items_per_second")
+
+# Machine of history lines recorded before the tag existed.
+UNKNOWN_MACHINE = "unknown"
+
+
+def machine_key():
+    """CPU model and logical core count, e.g. "AMD EPYC 7B13 x4"."""
+    model = ""
+    try:
+        with open("/proc/cpuinfo") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    model = line.split(":", 1)[1]
+                    break
+    except OSError:
+        pass
+    model = " ".join((model or platform.processor() or
+                      platform.machine() or "cpu").split())
+    return f"{model} x{os.cpu_count() or 0}"
+
+
+def run_machine(run):
+    return run.get("machine", UNKNOWN_MACHINE)
 
 
 def git_commit():
@@ -92,6 +120,7 @@ def cmd_record(args):
         .strftime("%Y-%m-%dT%H:%M:%SZ"),
         "commit": args.commit or git_commit(),
         "label": args.label,
+        "machine": machine_key(),
         "benches": benches,
         "micro_kernels": micro,
     }
@@ -165,6 +194,7 @@ def cmd_gate(args):
         runs = [json.loads(line) for line in handle if line.strip()]
     if args.dir:
         candidate, _ = collect(args.dir)
+        machine = machine_key()
         baseline_runs = runs
         candidate_label = args.dir
     else:
@@ -172,11 +202,15 @@ def cmd_gate(args):
             print("[gate] empty history; nothing to gate")
             return
         candidate = runs[-1].get("benches", {})
+        machine = run_machine(runs[-1])
         baseline_runs = runs[:-1]
         candidate_label = (f"run {runs[-1].get('commit', '?')} "
                            f"({runs[-1].get('recorded_at', '?')})")
+    baseline_runs = [run for run in baseline_runs
+                     if run_machine(run) == machine]
     if not baseline_runs:
-        print("[gate] no baseline runs in history; nothing to gate against")
+        print(f"[gate] no baseline runs from machine '{machine}' in "
+              "history; nothing to gate against")
         return
     current = metric_values(candidate, args.metric)
     baselines = {}
@@ -206,8 +240,9 @@ def cmd_gate(args):
             print(line, file=sys.stderr)
         else:
             print(line)
-    print(f"[gate] {candidate_label}: {compared} configuration(s) compared, "
-          f"{len(regressions)} regression(s) beyond x{args.threshold:.2f}")
+    print(f"[gate] {candidate_label} on '{machine}': {compared} "
+          f"configuration(s) compared, {len(regressions)} regression(s) "
+          f"beyond x{args.threshold:.2f}")
     if regressions:
         raise SystemExit(1)
 

@@ -7,11 +7,11 @@
 //      approximation; cross-check with Monte-Carlo simulation.
 //
 // Build & run:
-//   ./examples/quickstart [--engine uniformization|adaptive|dense|parallel|
-//                                    krylov|ooc|sharded]
+//   ./examples/quickstart [--engine uniformization|dense|parallel|krylov|
+//                                    ooc|sharded]
 //                         [--threads N]
 //                         [--kernels auto|scalar|avx2|avx512|mixed]
-//                         [--reorder level|none|rcm]    (default level)
+//                         [--reorder level|none]        (default level)
 //                         [--tile-mb N] [--spill-dir PATH]   (ooc engine)
 //                         [--shards N]                    (sharded engine)
 //
@@ -42,8 +42,7 @@ int run(kibamrm::common::CliArgs& args) {
   const std::string kernels = args.get_choice(
       "kernels", "auto", {"auto", "scalar", "avx2", "avx512", "mixed"});
   const std::string reorder = args.get_choice(
-      "reorder", core::ApproximationOptions{}.reorder,
-      {"none", "level", "rcm"});
+      "reorder", core::ApproximationOptions{}.reorder, {"none", "level"});
   const std::string engine =
       args.get_choice("engine", "uniformization", engine::backend_names());
   const auto threads =

@@ -6,11 +6,11 @@
 // transiently through a pluggable engine (engine/transient_backend) and read
 // off Pr{battery empty at t} as the probability mass in the absorbing
 // j1 = 0 layer.  The default engine is the paper's uniformisation; the
-// adaptive ODE stepper and the dense matrix exponential are selectable by
-// name for small chains and cross-validation.  Complexity of the default is
-// O(N^2 q t (u1/Delta)(u2/Delta)) as analysed in Sec. 5.3; the solver
-// reports the actual state/non-zero/iteration counts so the complexity
-// experiments of Sec. 6.1 can be reproduced.
+// Krylov engine (stiff chains) and the dense matrix exponential (small
+// chains, cross-validation) are selectable by name.  Complexity of the
+// default is O(N^2 q t (u1/Delta)(u2/Delta)) as analysed in Sec. 5.3; the
+// solver reports the actual state/non-zero/iteration counts so the
+// complexity experiments of Sec. 6.1 can be reproduced.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +27,7 @@ struct ApproximationOptions {
   /// Reward discretisation step Delta (charge units).
   double delta = 1.0;
   /// Transient-solver accuracy (truncation error per time increment for
-  /// uniformisation, local-error tolerance for the adaptive stepper).
+  /// uniformisation, sub-step error tolerance for the Krylov engine).
   double epsilon = 1e-10;
   /// Transient engine name; see engine::backend_names().
   std::string engine = "uniformization";
@@ -52,14 +52,13 @@ struct ApproximationOptions {
   /// (process-global; the double tiers are bitwise identical, the mixed
   /// tier trades float32 gather traffic for ~1e-6-level accuracy).
   std::string kernel_dispatch = "auto";
-  /// State ordering of the expanded chain ("none" / "level" / "rcm", see
+  /// State ordering of the expanded chain ("none" / "level", see
   /// core::StateOrdering).  The default "level" renumbers the states so
   /// the gather kernels see uniform row runs (~2x per DTMC step on fig8)
   /// and is a pure memory-layout change: two-well curves are bitwise
   /// equal to "none", single-well curves agree within a few ulp.  "none"
-  /// is the natural reference numbering; "rcm" stays within 10 eps.  The
-  /// ExpandedChain carries the permutation for anything that reads raw
-  /// distributions.
+  /// is the natural reference numbering.  The ExpandedChain carries the
+  /// permutation for anything that reads raw distributions.
   std::string reorder = "level";
   /// Worker processes of the "sharded" engine (level-banded multi-process
   /// uniformisation); forwarded to engine::BackendOptions::shards.

@@ -11,20 +11,12 @@ namespace kibamrm::core {
 StateOrdering parse_state_ordering(std::string_view name) {
   if (name == "none") return StateOrdering::kNone;
   if (name == "level") return StateOrdering::kLevel;
-  if (name == "rcm") return StateOrdering::kRcm;
   throw InvalidArgument("unknown state ordering '" + std::string(name) +
-                        "'; choices: none level rcm");
+                        "'; choices: none level");
 }
 
 std::string_view state_ordering_name(StateOrdering ordering) {
-  switch (ordering) {
-    case StateOrdering::kLevel:
-      return "level";
-    case StateOrdering::kRcm:
-      return "rcm";
-    default:
-      return "none";
-  }
+  return ordering == StateOrdering::kLevel ? "level" : "none";
 }
 
 namespace {
@@ -131,11 +123,10 @@ ExpandedChain build_expanded_chain(const KibamRmModel& model, double delta,
   const auto q_col_idx = q.column_indices();
   const auto q_values = q.values();
 
-  // Natural and level-major chains are emitted straight in chain order:
-  // rows ascending, each row's few entries sorted locally, so the
-  // builder's sorted-input fast path applies and no second copy of the
-  // generator is ever renumbered.  RCM numbers the states from the
-  // assembled pattern, so it builds in natural order and permutes after.
+  // Both orderings are emitted straight in chain order: rows ascending,
+  // each row's few entries sorted locally, so the builder's sorted-input
+  // fast path applies and no second copy of the generator is ever
+  // renumbered.
   const ChainLayout layout(grid, ordering == StateOrdering::kLevel);
 
   linalg::CooBuilder builder(grid.state_count(), grid.state_count());
@@ -215,29 +206,17 @@ ExpandedChain build_expanded_chain(const KibamRmModel& model, double delta,
     }
   }
 
-  linalg::CsrMatrix generator = builder.build();
-
   // A renumbering is a symmetric permutation of the generator: the same
   // chain (row sums, rates and absorbing layers all carried along), so
   // every backend solves it unchanged; only the memory layout of the hot
   // loops differs.  The permutation rides in the result so distributions
   // map back to grid coordinates.
-  linalg::Permutation permutation;
-  switch (ordering) {
-    case StateOrdering::kNone:
-      permutation = linalg::Permutation::identity(grid.state_count());
-      break;
-    case StateOrdering::kLevel:
-      permutation = layout_permutation(grid, layout);
-      break;
-    case StateOrdering::kRcm:
-      permutation = linalg::Permutation::reverse_cuthill_mckee(generator);
-      generator = permutation.permuted(generator);
-      initial = permutation.apply(initial);
-      break;
-  }
+  linalg::Permutation permutation =
+      ordering == StateOrdering::kLevel
+          ? layout_permutation(grid, layout)
+          : linalg::Permutation::identity(grid.state_count());
 
-  return ExpandedChain{grid, markov::Ctmc(std::move(generator)),
+  return ExpandedChain{grid, markov::Ctmc(builder.build()),
                        std::move(initial), std::move(permutation), ordering};
 }
 

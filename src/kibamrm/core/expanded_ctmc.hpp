@@ -18,10 +18,9 @@
 // -- the structure the SIMD gather kernels group on.  build_expanded_chain
 // can renumber the states at build time (StateOrdering): "level" moves a
 // level axis innermost so consecutive states differ by one level step
-// (long uniform runs, same bandwidth), "rcm" applies reverse
-// Cuthill-McKee to the assembled generator.  Natural and level chains
-// are emitted directly in chain order (index arithmetic, rows ascending,
-// each row sorted locally); only rcm renumbers an assembled generator.
+// (long uniform runs, same bandwidth).  Both orderings are emitted
+// directly in chain order (index arithmetic, rows ascending, each row
+// sorted locally); no assembled generator is ever renumbered.
 // The permutation is carried in the ExpandedChain so distributions map
 // back to grid coordinates.
 //
@@ -29,8 +28,8 @@
 // chain).  On two-well grids the level order even keeps every transposed
 // row's entries in natural relative order, so with the order-independent
 // renormalising sum its curves are bitwise equal to "none"; single-well
-// level chains and rcm chains sum rows in another order and agree to
-// rounding.  build_expanded_chain defaults to the natural numbering, the
+// level chains sum rows in another order and agree to rounding.
+// build_expanded_chain defaults to the natural numbering, the
 // reference the tests index by LevelGrid::index; the solver front doors
 // (core::ApproximationOptions, engine::ScenarioBatchOptions) default to
 // "level".
@@ -49,10 +48,9 @@ namespace kibamrm::core {
 enum class StateOrdering {
   kNone,   ///< LevelGrid's natural numbering (workload state innermost)
   kLevel,  ///< level-major: a level axis innermost, workload state outer
-  kRcm,    ///< reverse Cuthill-McKee on the assembled generator pattern
 };
 
-/// Parses "none" / "level" / "rcm"; throws InvalidArgument otherwise.
+/// Parses "none" / "level"; throws InvalidArgument otherwise.
 StateOrdering parse_state_ordering(std::string_view name);
 
 std::string_view state_ordering_name(StateOrdering ordering);

@@ -296,7 +296,6 @@ std::vector<std::vector<double>> OutOfCoreBackend::solve(
       common::resolve_spill_dir(options_.spill_dir), "kibamrm-tiles");
   linalg::TileStoreOptions store_options;
   store_options.tile_bytes = options_.tile_bytes;
-  store_options.direct_io = options_.spill_direct_io;
   linalg::TileStore store = linalg::TileStore::build(
       chain.generator(), reachable, rate, store_options, spill_path);
   store.unlink_keeping_open();  // space reclaims even on abnormal exit

@@ -44,10 +44,10 @@ struct Scenario {
 
 /// Outcome of one scenario; `skipped` mirrors the sweep-driver convention:
 /// an engine refusing the chain by design (UnsupportedChainError) is a
-/// skip.  A numerical failure (NumericalError -- e.g. the adaptive
-/// stepper underflowing on one stiff scenario) is isolated per scenario
-/// as `failed`, so the rest of the batch still returns its curves; only
-/// truly unexpected exceptions propagate out of solve_all().
+/// skip.  A numerical failure (NumericalError -- e.g. the krylov engine
+/// exceeding its sub-step cap on one stiff scenario) is isolated per
+/// scenario as `failed`, so the rest of the batch still returns its
+/// curves; only truly unexpected exceptions propagate out of solve_all().
 struct ScenarioResult {
   std::string label;
   std::optional<core::LifetimeCurve> curve;
@@ -110,7 +110,7 @@ struct ScenarioBatchOptions {
   /// batch option covers all lanes (the sanitizer CI pins "scalar" here
   /// to keep reports readable).  The double tiers are bitwise identical.
   std::string kernel_dispatch = "auto";
-  /// State ordering of every expanded chain ("none" / "level" / "rcm");
+  /// State ordering of every expanded chain ("none" / "level");
   /// defaults to "level" like core::ApproximationOptions::reorder, which
   /// documents what each ordering does to the curves.
   std::string reorder = "level";

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "kibamrm/common/error.hpp"
-#include "kibamrm/engine/adaptive_backend.hpp"
 #include "kibamrm/engine/dense_expm_backend.hpp"
 #include "kibamrm/engine/krylov_backend.hpp"
 #include "kibamrm/engine/ooc_backend.hpp"
@@ -25,10 +24,6 @@ std::map<std::string, BackendFactory, std::less<>>& registry() {
        [](BackendOptions options) -> std::unique_ptr<TransientBackend> {
          options.threads = 1;
          return std::make_unique<ParallelBackend>(options, "uniformization");
-       }},
-      {"adaptive",
-       [](const BackendOptions& options) -> std::unique_ptr<TransientBackend> {
-         return std::make_unique<AdaptiveBackend>(options);
        }},
       {"dense",
        [](const BackendOptions& options) -> std::unique_ptr<TransientBackend> {

@@ -10,11 +10,6 @@
 //   "uniformization"  incremental uniformisation with Fox-Glynn windows:
 //                     the "parallel" engine pinned to one lane, the
 //                     production default for the expanded battery chains
-//   "adaptive"        embedded Runge-Kutta (Dormand-Prince 5(4)) with
-//                     adaptive step control on pi' = pi Q -- complements the
-//                     transform solver in core/exact_c1 for small stiff
-//                     chains and for rate regimes where the Poisson window
-//                     grows degenerate
 //   "dense"           dense Pade matrix exponential (linalg/expm) with
 //                     increment caching -- cross-validation oracle for
 //                     chains below a configurable state threshold
@@ -26,8 +21,8 @@
 //                     Krylov subspace with EXPOKIT-style adaptive
 //                     sub-step splitting -- the stiff-chain path: its
 //                     cost scales with how fast the *solution* moves,
-//                     not with the spectral radius that defeats the
-//                     explicit stepper and bloats the Poisson window
+//                     not with the spectral radius that bloats the
+//                     Poisson window
 //   "ooc"             out-of-core uniformisation: the compacted transposed
 //                     matrix is encoded band-by-band into a tiled spill
 //                     file at solve start and streamed back per DTMC step
@@ -116,8 +111,8 @@ class UnsupportedChainError : public InvalidArgument {
 /// backend are ignored (documented per field).
 struct BackendOptions {
   /// Accuracy knob: uniformisation truncation error per time increment,
-  /// or the relative local-error tolerance of the adaptive stepper.  The
-  /// dense backend is accurate to the Pade approximant and ignores it.
+  /// or the Krylov sub-step error tolerance.  The dense backend is
+  /// accurate to the Pade approximant and ignores it.
   double epsilon = 1e-10;
   /// Uniformisation rate; 0 selects 1.02 * max_exit_rate automatically.
   /// Uniformisation backend only.
@@ -172,17 +167,6 @@ struct BackendOptions {
   /// $TMPDIR (falling back to /tmp).  The file is unlinked while open, so
   /// it never outlives the solve.  Other backends ignore it.
   std::string spill_dir = "";
-  /// Out-of-core backend: attempt O_DIRECT when streaming tiles back
-  /// (silently falls back to buffered reads plus posix_fadvise readahead
-  /// on filesystems that refuse the flag, e.g. tmpfs).  Off by default:
-  /// buffered streaming lets the page cache absorb whatever part of the
-  /// tile file fits -- cache pages are kernel memory, so they count
-  /// against neither RSS nor an address-space cap -- while O_DIRECT turns
-  /// every re-streamed tile into a device round trip.  Turn it on for
-  /// working sets that genuinely dwarf RAM, where cache hits are rare and
-  /// cache pollution hurts the rest of the machine.  Results are bitwise
-  /// identical either way.  Other backends ignore it.
-  bool spill_direct_io = false;
   /// Kernel dispatch for the linalg::kernels vector layer, applied
   /// process-globally by make_backend(): "auto" keeps the current process
   /// setting (CPUID-detected unless already pinned), "scalar" / "avx2" /
@@ -212,12 +196,9 @@ struct BackendOptions {
 /// Cost counters, populated by every backend after each solve().  The
 /// loop counters (iterations, windows, detection, active states and
 /// matrix structure) are markov::TransientStats, documented there; the
-/// adaptive, dense and krylov engines count their own work unit in
-/// `iterations` and report active_states/active_nonzeros where they
-/// compact.
+/// dense and krylov engines count their own work unit in `iterations`
+/// and report active_states/active_nonzeros where they compact.
 struct BackendStats : markov::TransientStats {
-  /// Adaptive backend: steps whose error estimate forced a retry.
-  std::uint64_t rejected_steps = 0;
   /// Krylov backend: largest Arnoldi subspace dimension used during the
   /// last solve (the configured cap, or less after happy breakdowns on
   /// near-invariant starts); 0 elsewhere.
@@ -269,7 +250,7 @@ class TransientBackend {
  public:
   virtual ~TransientBackend() = default;
 
-  /// Registry name of this backend ("uniformization", "adaptive", ...).
+  /// Registry name of this backend ("uniformization", "krylov", ...).
   virtual std::string_view name() const = 0;
 
   /// Computes pi(t) for each t in `times` (sorted ascending, >= 0) starting

@@ -1,12 +1,14 @@
 # Runs every bench/example driver with hostile command lines and checks
 # the exit status: --help exits 0, a bad flag value or an unknown flag
-# exits 2 (InvalidArgument), and no run may end on a signal.
+# exits 2 (InvalidArgument), and no run may end on a signal.  The
+# removed engine and state-ordering names are bad values like any other.
 #
 #   cmake -DDRIVERS="path/a|path/b" -P tests/driver_argv.cmake
 string(REPLACE "|" ";" drivers "${DRIVERS}")
 set(failures 0)
 foreach(driver ${drivers})
-  foreach(case "--help=0" "--engine bogus=2" "--threads -1=2")
+  foreach(case "--help=0" "--engine bogus=2" "--threads -1=2"
+          "--engine adaptive=2" "--reorder rcm=2")
     string(REGEX MATCH "^(.*)=([0-9]+)$" matched "${case}")
     separate_arguments(argv UNIX_COMMAND "${CMAKE_MATCH_1}")
     set(expected "${CMAKE_MATCH_2}")

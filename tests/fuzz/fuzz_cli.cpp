@@ -53,9 +53,8 @@ void exercise(const std::vector<std::string>& tokens) {
     args.get("out", "");
     args.has("batch");
     args.get_choice("engine", "uniformization",
-                    {"uniformization", "parallel", "adaptive", "dense",
-                     "krylov"});
-    args.get_choice("reorder", "none", {"none", "level", "rcm"});
+                    {"uniformization", "parallel", "dense", "krylov"});
+    args.get_choice("reorder", "none", {"none", "level"});
     args.declare("delta")
         .declare("points")
         .declare("runs")

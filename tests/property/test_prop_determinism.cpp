@@ -133,8 +133,7 @@ TEST(Determinism, ScenarioBitwiseAcrossThreadsAndTiersPerOrdering) {
         const core::KibamRmModel model = value.model();
         std::vector<std::vector<std::vector<double>>> per_ordering_grid;
         for (const core::StateOrdering ordering :
-             {core::StateOrdering::kNone, core::StateOrdering::kLevel,
-              core::StateOrdering::kRcm}) {
+             {core::StateOrdering::kNone, core::StateOrdering::kLevel}) {
           const auto expanded =
               core::build_expanded_chain(model, value.delta, ordering);
           std::vector<std::vector<std::vector<double>>> runs;

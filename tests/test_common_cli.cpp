@@ -180,6 +180,26 @@ TEST(CliArgs, GetChoicePresentWithoutValueThrows) {
                InvalidArgument);
 }
 
+TEST(CliArgs, RequirementFailureNamesSourceFromProjectDirectory) {
+  // What a user sees for a bad flag: the message, the failed expression
+  // and "kibamrm/<file>:<line>" -- never the absolute path of the build
+  // checkout or the C++ signature of the function that checked it.
+  const CliArgs args = parse({"p", "--threads", "-1"});
+  try {
+    (void)args.get_nonnegative_int("threads", 0);
+    FAIL() << "expected InvalidArgument";
+  } catch (const InvalidArgument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("must be a non-negative integer"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("failed at kibamrm/common/cli.cpp:"),
+              std::string::npos)
+        << what;
+    EXPECT_EQ(what.find("get_int_at_least"), std::string::npos) << what;
+    EXPECT_EQ(what.find(" in "), std::string::npos) << what;
+  }
+}
+
 TEST(CliArgs, GetDirectoryAcceptsExistingDirectory) {
   const CliArgs args = parse({"p", "--spill-dir", "/tmp"});
   EXPECT_EQ(args.get_directory("spill-dir", ""), "/tmp");

@@ -17,7 +17,7 @@
 namespace kibamrm::engine {
 namespace {
 
-const std::vector<std::string> kBuiltins = {"adaptive", "dense", "krylov",
+const std::vector<std::string> kBuiltins = {"dense", "krylov",
                                             "uniformization"};
 
 // Small, fast single-well model: capacity 60, current 1, rates of order 1.
@@ -61,6 +61,28 @@ TEST(EngineRegistry, UnknownNameThrowsListingChoices) {
     EXPECT_NE(what.find("gpu"), std::string::npos);
     EXPECT_NE(what.find("uniformization"), std::string::npos);
     EXPECT_NE(what.find("krylov"), std::string::npos);
+  }
+}
+
+TEST(EngineRegistry, RemovedAdaptiveEngineIsUnknown) {
+  // The six built-ins are registered and the deleted RK45 "adaptive"
+  // engine is a bad name like any other: the error lists the survivors.
+  for (const char* name : {"dense", "krylov", "ooc", "parallel", "sharded",
+                           "uniformization"}) {
+    EXPECT_TRUE(is_backend_name(name)) << name;
+  }
+  EXPECT_FALSE(is_backend_name("adaptive"));
+  try {
+    make_backend("adaptive");
+    FAIL() << "expected InvalidArgument";
+  } catch (const InvalidArgument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("unknown transient engine 'adaptive'"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("dense krylov ooc parallel sharded"),
+              std::string::npos)
+        << what;
   }
 }
 
@@ -177,20 +199,6 @@ TEST(EngineBackends, CollectDistributionsOffReturnsEmpty) {
     EXPECT_TRUE(results.empty()) << name;
     EXPECT_EQ(points_seen, 2u) << name;
   }
-}
-
-TEST(EngineBackends, AdaptiveReportsRejectionsOnStiffChain) {
-  // A chain with a 1e4 rate spread forces the explicit stepper to shrink
-  // its step at least once.
-  const markov::Ctmc chain = markov::ctmc_from_rates(
-      {{0.0, 1e4, 0.0}, {0.0, 0.0, 1.0}, {0.5, 0.0, 0.0}});
-  auto backend = make_backend("adaptive");
-  backend->solve(chain, {1.0, 0.0, 0.0}, {5.0});
-  const auto& stats = backend->last_stats();
-  EXPECT_GT(stats.iterations, 10u);
-  // rejected_steps is informational; just check the counter exists and is
-  // consistent (rejections never exceed RHS evaluations).
-  EXPECT_LE(stats.rejected_steps, stats.iterations);
 }
 
 TEST(EngineBackends, OneShotHelperSelectsEngine) {

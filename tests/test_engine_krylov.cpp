@@ -1,11 +1,10 @@
-// Stiff-chain regression suite for the Krylov transient backend: the
-// chains the explicit stepper refuses (documented step-underflow throw)
+// Stiff-chain regression suite for the Krylov transient backend: chains
+// whose stable explicit step is ~1e-14 s against horizons of minutes
 // must solve through "krylov", and on the mild fig8 grid "krylov" must
 // agree with the production uniformisation engine to the usual budget.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <string>
 #include <vector>
 
 #include "kibamrm/common/error.hpp"
@@ -35,19 +34,6 @@ core::KibamRmModel fig8_kibam(double frequency = 1.0) {
 markov::Ctmc stiff_flip_flop() {
   return markov::ctmc_from_rates(
       {{0.0, 1e12, 0.0}, {1e12, 0.0, 0.05}, {0.0, 0.0, 0.0}});
-}
-
-TEST(KrylovStiff, AdaptiveThrowsItsDocumentedUnderflowOnTheStiffChain) {
-  const markov::Ctmc chain = stiff_flip_flop();
-  auto adaptive = make_backend("adaptive");
-  try {
-    adaptive->solve(chain, {1.0, 0.0, 0.0}, {40.0, 120.0});
-    FAIL() << "expected NumericalError";
-  } catch (const NumericalError& error) {
-    EXPECT_NE(std::string(error.what()).find("step size underflow"),
-              std::string::npos)
-        << error.what();
-  }
 }
 
 TEST(KrylovStiff, KrylovSolvesTheChainTheAdaptiveStepperRefuses) {
@@ -93,14 +79,10 @@ TEST(KrylovStiff, MatchesUniformizationWithinTenEpsilonOnFig8Grid) {
 
 TEST(KrylovStiff, SolvesTheStiffExpandedBatteryChain) {
   // A 1e11 Hz on/off workload makes the expanded KiBaM chain stiff by a
-  // factor ~1e12 against the lifetime horizon: the adaptive stepper
+  // factor ~1e12 against the lifetime horizon: an explicit stepper
   // underflows instantly, krylov integrates through the quasi-steady
   // regime in a few hundred sub-steps.
   const auto times = core::uniform_grid(6000.0, 20000.0, 8);
-  core::MarkovianApproximation adaptive(
-      fig8_kibam(1e11), {.delta = 300.0, .engine = "adaptive"});
-  EXPECT_THROW(adaptive.solve(times), NumericalError);
-
   core::MarkovianApproximation krylov(
       fig8_kibam(1e11), {.delta = 300.0, .engine = "krylov"});
   const auto curve = krylov.solve(times);

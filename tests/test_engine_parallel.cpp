@@ -10,8 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "kibamrm/common/error.hpp"
@@ -255,12 +258,47 @@ TEST(ScenarioBatch, SkipsUnsupportedChainsWithoutAborting) {
   EXPECT_EQ(batch.last_stats().skipped, 1u);
 }
 
+// One-lane uniformisation that fails with NumericalError on chains whose
+// fastest exit rate passes `limit` -- the way an explicit ODE stepper
+// refuses a stiff chain -- so batch failure isolation has a
+// deterministic failing engine.
+class StiffRefusingBackend final : public TransientBackend {
+ public:
+  StiffRefusingBackend(const BackendOptions& options, double limit)
+      : inner_(make_backend("uniformization", options)), limit_(limit) {}
+
+  std::string_view name() const override { return "stiff-refusing"; }
+
+  std::vector<std::vector<double>> solve(
+      const markov::Ctmc& chain, const std::vector<double>& initial,
+      const std::vector<double>& times,
+      const PointCallback& on_point) override {
+    if (chain.max_exit_rate() > limit_) {
+      throw NumericalError(
+          "stiff-refusing engine: step size underflow (exit rate " +
+          std::to_string(chain.max_exit_rate()) + ")");
+    }
+    return inner_->solve(chain, initial, times, on_point);
+  }
+
+  const BackendStats& last_stats() const override {
+    return inner_->last_stats();
+  }
+
+ private:
+  std::unique_ptr<TransientBackend> inner_;
+  double limit_;
+};
+
 TEST(ScenarioBatch, IsolatesANumericalFailureToItsScenario) {
-  // One poisoned scenario (a 1e11 Hz workload the explicit stepper
-  // instantly underflows on) must not abort the batch: every other
-  // scenario still returns its curve, and the failure is recorded in
-  // place.  Before the `failed` flag, the NumericalError propagated out
-  // of solve_all() and discarded all completed results.
+  // One poisoned scenario (a 1e11 Hz workload the engine refuses as too
+  // stiff) must not abort the batch: every other scenario still returns
+  // its curve, and the failure is recorded in place.  Before the
+  // `failed` flag, the NumericalError propagated out of solve_all() and
+  // discarded all completed results.
+  register_backend("stiff-refusing", [](const BackendOptions& options) {
+    return std::make_unique<StiffRefusingBackend>(options, 1e6);
+  });
   const auto times = core::uniform_grid(6000.0, 20000.0, 5);
   const core::KibamRmModel poisoned(
       workload::make_onoff_model({.frequency = 1e11, .erlang_k = 1,
@@ -272,7 +310,7 @@ TEST(ScenarioBatch, IsolatesANumericalFailureToItsScenario) {
       {"poisoned", poisoned, 450.0, times},
       {"mild-b", fig8_kibam(), 300.0, times},
   };
-  ScenarioBatch batch({.engine = "adaptive", .threads = 2});
+  ScenarioBatch batch({.engine = "stiff-refusing", .threads = 2});
   const auto results = batch.solve_all(scenarios);
   ASSERT_EQ(results.size(), 3u);
   EXPECT_TRUE(results[0].curve.has_value());

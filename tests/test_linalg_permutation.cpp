@@ -1,12 +1,12 @@
 // Property tests for the state-reordering permutation layer: the
 // permutation algebra itself (bijection validation, inverse, composition,
-// edge cases), symmetric matrix permutation, the RCM bandwidth heuristic
-// on the real fig8 chain, and the end-to-end invariants the reorder flag
-// promises -- the transient distribution does not depend on the state
-// numbering (within the solver's 10 eps agreement budget; bitwise for
-// the level ordering of two-well chains), the directly built level chain
-// equals the permuted natural one, and the inverse-permuted curves stay
-// bitwise deterministic across thread counts.
+// edge cases), symmetric matrix permutation, the level ordering's row
+// grouping on the real fig8 chain, and the end-to-end invariants the
+// reorder flag promises -- the transient distribution does not depend on
+// the state numbering (within the solver's 10 eps agreement budget;
+// bitwise for the level ordering of two-well chains), the directly built
+// level chain equals the permuted natural one, and the inverse-permuted
+// curves stay bitwise deterministic across thread counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -194,22 +194,15 @@ TEST(Permutation, DirectLevelBuildEqualsPermutedNaturalChain) {
   }
 }
 
-TEST(Permutation, RcmReducesFig8Bandwidth) {
-  // The point of the RCM option: on the matrix the solver iterates (the
-  // compacted transpose of the real expanded battery chain) the natural
-  // numbering's bandwidth must at least halve.
+TEST(Permutation, LevelOrderGroupsFig8Rows) {
+  // The point of the level ordering: on the matrix the solver iterates
+  // (the compacted transpose of the real expanded battery chain) it must
+  // raise the groupable-row fraction to (nearly) everything.
   const auto natural =
       core::build_expanded_chain(fig8_model(), 50.0,
                                  core::StateOrdering::kNone);
-  const auto rcm = core::build_expanded_chain(fig8_model(), 50.0,
-                                              core::StateOrdering::kRcm);
   const auto stats_nat =
       linalg::structure_stats(compacted_transpose(natural));
-  const auto stats_rcm = linalg::structure_stats(compacted_transpose(rcm));
-  EXPECT_LT(stats_rcm.bandwidth, stats_nat.bandwidth);
-  EXPECT_LE(stats_rcm.bandwidth, stats_nat.bandwidth / 2);
-  // And the level ordering, whose goal is runs rather than bandwidth,
-  // must raise the groupable-row fraction to (nearly) everything.
   const auto level = core::build_expanded_chain(
       fig8_model(), 50.0, core::StateOrdering::kLevel);
   const auto stats_level =
@@ -217,6 +210,19 @@ TEST(Permutation, RcmReducesFig8Bandwidth) {
   EXPECT_GT(stats_level.groupable_fraction(), 0.95);
   EXPECT_GT(stats_level.groupable_fraction(),
             stats_nat.groupable_fraction());
+}
+
+TEST(Permutation, UnknownOrderingNamesTheChoices) {
+  EXPECT_EQ(core::parse_state_ordering("none"), core::StateOrdering::kNone);
+  EXPECT_EQ(core::parse_state_ordering("level"), core::StateOrdering::kLevel);
+  try {
+    (void)core::parse_state_ordering("rcm");
+    FAIL() << "expected InvalidArgument";
+  } catch (const InvalidArgument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("'rcm'"), std::string::npos) << what;
+    EXPECT_NE(what.find("choices: none level"), std::string::npos) << what;
+  }
 }
 
 TEST(Permutation, TransientDistributionInvariantUnderAnyPermutation) {
@@ -262,18 +268,13 @@ TEST(Permutation, ReorderedCurvesAgreeAcrossOrderings) {
   };
   const auto none = core::StateOrdering::kNone;
   const auto level = core::StateOrdering::kLevel;
-  const auto rcm = core::StateOrdering::kRcm;
   const auto times = std::vector<double>{8000.0, 12000.0, 16000.0};
   for (const auto& model : {fig8_model(), single_well_model()}) {
     const auto reference =
         solve(model, 100.0, none, times, "uniformization", 1);
-    for (const auto ordering : {level, rcm}) {
-      const auto curve =
-          solve(model, 100.0, ordering, times, "uniformization", 1);
-      for (std::size_t i = 0; i < times.size(); ++i) {
-        EXPECT_NEAR(curve[i], reference[i], 10.0 * epsilon)
-            << core::state_ordering_name(ordering) << " point " << i;
-      }
+    const auto curve = solve(model, 100.0, level, times, "uniformization", 1);
+    for (std::size_t i = 0; i < times.size(); ++i) {
+      EXPECT_NEAR(curve[i], reference[i], 10.0 * epsilon) << "point " << i;
     }
   }
 
