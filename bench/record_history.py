@@ -14,8 +14,8 @@ Usage:
                            [--history PATH] [--commit SHA]
   record_history.py show   [--history PATH] [--metric wall_seconds]
   record_history.py gate   [--dir BUILD_DIR] [--history PATH]
-                           [--metric wall_seconds] [--threshold 1.20]
-                           [--min-value 0.05]
+                           [--metric wall_seconds|us_per_step|...]
+                           [--threshold 1.20] [--min-value 0.05]
 
 `record` scans BUILD_DIR (default: ./build next to the repo root) for
 BENCH_*.json, keeps the informative fields, and appends one JSON line
@@ -32,8 +32,12 @@ new machine starts its own trend; lines recorded before the machine
 tag existed count as one machine, "unknown".  Configurations are
 matched on (bench, engine, delta, threads, kernels, reorder, shards,
 scenario), so a new kernel tier or ordering starts its own trend
-instead of tripping the gate; values below --min-value seconds are
-noise and never gate.
+instead of tripping the gate; runs shorter than --min-value seconds are
+noise and never gate.  Besides the recorded fields, --metric accepts
+the derived `us_per_step` (1e6 * wall_seconds / iterations): the time
+of one DTMC step, which a change in the step count (a different
+detection verdict, a different time grid) cannot hide or fake the way
+it moves the wall time.
 """
 
 import argparse
@@ -164,17 +168,36 @@ def record_key(bench, record):
             record.get("batch"), record.get("shards"))
 
 
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def metric_value(record, metric):
+    """(value, seconds) of one record, or None: the metric and the run
+    time the noise floor applies to."""
+    if metric == "us_per_step":
+        wall, steps = record.get("wall_seconds"), record.get("iterations")
+        if not (is_number(wall) and is_number(steps)) or steps <= 0:
+            return None
+        return 1e6 * wall / steps, float(wall)
+    value = record.get(metric)
+    if not is_number(value):
+        return None
+    return float(value), float(value)
+
+
 def metric_values(benches, metric):
     values = {}
     for bench, records in benches.items():
         for record in records:
-            value = record.get(metric)
-            if isinstance(value, (int, float)):
-                # Repeated configurations within one run: keep the best
-                # (the gate asks "can the code still go this fast").
-                key = record_key(bench, record)
-                if key not in values or value < values[key]:
-                    values[key] = float(value)
+            measured = metric_value(record, metric)
+            if measured is None:
+                continue
+            # Repeated configurations within one run: keep the best
+            # (the gate asks "can the code still go this fast").
+            key = record_key(bench, record)
+            if key not in values or measured[0] < values[key][0]:
+                values[key] = measured
     return values
 
 
@@ -220,12 +243,13 @@ def cmd_gate(args):
             baselines.setdefault(key, []).append(value)
     regressions = []
     compared = 0
-    for key, value in sorted(current.items()):
+    for key, (value, seconds) in sorted(current.items()):
         history = baselines.get(key)
         if not history:
             continue  # new configuration: starts its own trend
-        base = median(history)
-        if base < args.min_value or value < args.min_value:
+        base = median([past for past, _ in history])
+        base_seconds = median([past for _, past in history])
+        if base_seconds < args.min_value or seconds < args.min_value:
             continue  # sub-noise timings never gate
         compared += 1
         ratio = value / base

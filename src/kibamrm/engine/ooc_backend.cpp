@@ -28,9 +28,9 @@ class TileStream final : public markov::StepOperator {
         stats_(stats),
         tile_count_(store.tile_count()),
         lanes_(pool.thread_count()),
-        // Same pool-engagement policy as plan_gather_shards: below ~16k
-        // stored entries one step costs less than waking the pool.
-        use_pool_(lanes_ > 1 && store.nonzeros() + store.rows() >= 16384),
+        // Same pool-engagement policy as plan_gather_shards.
+        use_pool_(lanes_ > 1 &&
+                  store.nonzeros() + store.rows() >= kPoolMinEntries),
         parts_per_tile_(use_pool_ ? 4 * lanes_ : 1),
         tile_ranges_(tile_count_),
         tile_ready_(std::make_unique<std::atomic<std::uint32_t>[]>(

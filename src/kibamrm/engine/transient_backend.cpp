@@ -55,7 +55,7 @@ GatherShardPlan plan_gather_shards(const linalg::CsrMatrix& matrix,
                                    std::size_t lanes) {
   GatherShardPlan plan;
   plan.use_pool =
-      lanes > 1 && matrix.nonzeros() + matrix.rows() >= 16384;
+      lanes > 1 && matrix.nonzeros() + matrix.rows() >= kPoolMinEntries;
   plan.ranges = plan.use_pool
                     ? matrix.balanced_row_ranges(4 * lanes)
                     : std::vector<std::size_t>{0, matrix.rows()};
@@ -67,7 +67,8 @@ GatherShardPlan plan_gather_shards(std::span<const std::uint32_t> row_counts,
                                    std::size_t row_begin, std::size_t row_end,
                                    std::size_t lanes) {
   GatherShardPlan plan;
-  plan.use_pool = lanes > 1 && nonzeros + (row_end - row_begin) >= 16384;
+  plan.use_pool =
+      lanes > 1 && nonzeros + (row_end - row_begin) >= kPoolMinEntries;
   plan.ranges =
       plan.use_pool
           ? linalg::balanced_count_ranges(row_counts, row_begin, row_end,

@@ -81,8 +81,17 @@ struct GatherShardPlan {
   std::size_t shard_count() const { return ranges.size() - 1; }
 };
 
+/// Stored entries plus rows of one step from which a multi-lane engine
+/// shards it over the thread pool (plan_gather_shards, the ooc tile
+/// stream); below it the step runs inline on the calling lane.  Too low
+/// for the level-ordered SIMD kernels: fig8 Delta = 25 (88k) runs 1.4x
+/// slower on four lanes than on one, Delta = 10 (549k) 2.3x faster (see
+/// ROADMAP item 2).  The determinism property test sizes its chains
+/// around this value.
+inline constexpr std::uint64_t kPoolMinEntries = 16384;
+
 /// Splits `matrix` for a gather matvec over `lanes` pool lanes.  Below
-/// ~16k stored entries one spmv costs less than waking the pool, so the
+/// kPoolMinEntries one spmv costs less than waking the pool, so the
 /// plan stays inline; otherwise rows are nnz-balanced into 4x-lane
 /// shards (the oversubscription lets the atomic claim loop absorb cost
 /// imbalance a static split cannot see).

@@ -128,16 +128,27 @@ void FusedGatherPlan::build_uniform_segments() {
     UniformSegment segment;
     segment.row_begin = static_cast<std::uint32_t>(run_begin);
     segment.row_count = static_cast<std::uint32_t>(count);
-    segment.length = length;
-    segment.ids_base = static_cast<std::uint32_t>(segment_ids_.size());
-    // Transpose the dictionary ids entry-major so the kernels load the
-    // ids of one entry across 4/8 rows with a single contiguous read.
-    segment_ids_.resize(segment_ids_.size() + count * length);
-    std::uint16_t* ids = segment_ids_.data() + segment.ids_base;
-    for (std::size_t r = 0; r < count; ++r) {
-      const std::uint32_t k = entry_start_[run_begin + r];
-      for (std::uint32_t e = 0; e < length; ++e) {
-        ids[e * count + r] = value_ids_[k + e];
+    segment.length = static_cast<std::uint8_t>(length);
+    const std::uint32_t k0 = entry_start_[run_begin];
+    for (std::uint32_t e = 0; e < length; ++e) {
+      segment.offsets[e] = offsets_[k0 + e];
+      segment.values[e] = static_cast<std::uint32_t>(segment_values_.size());
+      // Entry e's values for every row of the run, contiguous so the
+      // kernels load them across 4/8 rows with one read -- or once, for
+      // the kernels to broadcast, when the whole run shares one value.
+      bool constant = true;
+      for (std::size_t r = 1; r < count && constant; ++r) {
+        constant = value_ids_[entry_start_[run_begin + r] + e] ==
+                   value_ids_[k0 + e];
+      }
+      if (constant) {
+        segment.constant_mask |= static_cast<std::uint8_t>(1u << e);
+        segment_values_.push_back(dictionary_[value_ids_[k0 + e]]);
+        continue;
+      }
+      for (std::size_t r = 0; r < count; ++r) {
+        segment_values_.push_back(
+            dictionary_[value_ids_[entry_start_[run_begin + r] + e]]);
       }
     }
     uniform_rows_ += count;
@@ -150,6 +161,7 @@ void FusedGatherPlan::build_uniform_segments() {
     }
   }
   if (n > 0) flush(n);
+  segment_values_.shrink_to_fit();
 }
 
 double FusedGatherPlan::multiply_fused_range(const std::vector<double>& x,
@@ -164,185 +176,63 @@ double FusedGatherPlan::multiply_fused_range(const std::vector<double>& x,
   KIBAMRM_REQUIRE(row_begin <= row_end && row_end <= rows(),
                   "FusedGatherPlan: invalid row range");
   return layout_ == Layout::kRowOffset
-             ? fused_range_row_offset(x, out, accum, weight, row_begin,
-                                      row_end)
+             ? fused_range_row_offset(x.data(), out.data(), accum.data(),
+                                      weight, row_begin, row_end)
              : fused_range_column_delta(x, out, accum, weight, row_begin,
                                         row_end);
 }
 
 template <typename Value>
-double FusedGatherPlan::fused_rows_generic(const Value* x, Value* out,
-                                           double* accum,
-                                           const Value* dictionary,
-                                           double weight,
-                                           std::size_t row_begin,
-                                           std::size_t row_end) const {
-  const std::uint8_t* lengths = lengths_.data();
-  const std::int16_t* offsets = offsets_.data();
-  const std::uint16_t* value_ids = value_ids_.data();
-  double delta = 0.0;
-  std::size_t k = entry_start_[row_begin];
-  // One stored-entry product; for Value = double the casts are no-ops and
-  // the arithmetic is the historical scalar kernel unchanged, for Value =
-  // float each product promotes exactly to double (the mixed contract).
-  const auto term = [&](std::size_t row, std::size_t e) {
-    return static_cast<double>(dictionary[value_ids[e]]) *
-           static_cast<double>(x[row + offsets[e]]);
-  };
-  // Prefetching never touches the arithmetic, so the bitwise contract is
-  // unaffected; only offsets_-backed (kRowOffset) plans reach this loop.
-  const std::size_t prefetch = prefetch_distance_;
-  for (std::size_t row = row_begin; row < row_end; ++row) {
-#if defined(__GNUC__) || defined(__clang__)
-    if (prefetch != 0 && row + prefetch < row_end) {
-      const std::size_t ahead = entry_start_[row + prefetch];
-      if (ahead < entry_start_[row + prefetch + 1]) {
-        __builtin_prefetch(&x[row + prefetch + offsets[ahead]], 0, 1);
-      }
-    }
-#endif
-    double v;
-    // Canonical per-length evaluation order, mirrored exactly by
-    // CsrMatrix::multiply_fused_range and the SIMD kernels, so all
-    // double kernels agree bitwise.
-    switch (lengths[row]) {
-      case 0:
-        v = 0.0;
-        break;
-      case 1:
-        v = term(row, k);
-        k += 1;
-        break;
-      case 2:
-        v = term(row, k) + term(row, k + 1);
-        k += 2;
-        break;
-      case 3:
-        v = term(row, k) + term(row, k + 1) + term(row, k + 2);
-        k += 3;
-        break;
-      case 4:
-        v = (term(row, k) + term(row, k + 1)) +
-            (term(row, k + 2) + term(row, k + 3));
-        k += 4;
-        break;
-      default: {
-        double s0 = 0.0;
-        double s1 = 0.0;
-        std::uint8_t j = 0;
-        const std::uint8_t length = lengths[row];
-        for (; j + 2 <= length; j += 2) {
-          s0 += term(row, k + j);
-          s1 += term(row, k + j + 1);
-        }
-        if (j < length) {
-          s0 += term(row, k + j);
-        }
-        v = s0 + s1;
-        k += length;
-      }
-    }
-    out[row] = static_cast<Value>(v);
-    if (weight != 0.0) accum[row] += weight * v;
-    delta = std::max(delta, std::abs(v - static_cast<double>(x[row])));
-  }
-  return delta;
-}
-
-template <typename Value>
-double FusedGatherPlan::fused_segments_simd(
-    const Value* x, Value* out, double* accum, const Value* dictionary,
-    double weight, std::size_t row_begin, std::size_t row_end,
-    bool use_avx512) const {
-#if !KIBAMRM_HAVE_AVX2_TIER
-  (void)use_avx512;
-  return fused_rows_generic(x, out, accum, dictionary, weight, row_begin,
-                            row_end);
-#else
-  // First segment that can still cover row_begin.
-  std::size_t si =
-      std::partition_point(segments_.begin(), segments_.end(),
-                           [&](const UniformSegment& segment) {
-                             return segment.row_begin + segment.row_count <=
-                                    row_begin;
-                           }) -
-      segments_.begin();
-  double delta = 0.0;
-  std::size_t row = row_begin;
-  while (row < row_end) {
-    if (si < segments_.size() && segments_[si].row_begin <= row) {
-      const UniformSegment& segment = segments_[si];
-      const std::size_t segment_end = segment.row_begin + segment.row_count;
-      const std::size_t end = std::min(row_end, segment_end);
-      const std::int16_t* offsets =
-          offsets_.data() + entry_start_[segment.row_begin];
-      const std::uint16_t* ids = segment_ids_.data() + segment.ids_base;
-      const std::size_t local = row - segment.row_begin;
-      double segment_delta;
-      if constexpr (std::is_same_v<Value, double>) {
-#if KIBAMRM_HAVE_AVX512_TIER
-        if (use_avx512) {
-          segment_delta = kernels::detail::avx512_plan_uniform_rows(
-              segment.length, offsets, ids, segment.row_count, local,
-              dictionary, x, out, accum, weight, row, end);
-        } else
-#endif
-        {
-          segment_delta = kernels::detail::avx2_plan_uniform_rows(
-              segment.length, offsets, ids, segment.row_count, local,
-              dictionary, x, out, accum, weight, row, end);
-        }
-      } else {
-#if KIBAMRM_HAVE_AVX512_TIER
-        if (use_avx512) {
-          segment_delta = kernels::detail::avx512_plan_uniform_rows_mixed(
-              segment.length, offsets, ids, segment.row_count, local,
-              dictionary, x, out, accum, weight, row, end);
-        } else
-#endif
-        {
-          segment_delta = kernels::detail::avx2_plan_uniform_rows_mixed(
-              segment.length, offsets, ids, segment.row_count, local,
-              dictionary, x, out, accum, weight, row, end);
-        }
-      }
-      delta = std::max(delta, segment_delta);
-      row = end;
-      if (row >= segment_end) ++si;
-    } else {
-      const std::size_t end =
-          si < segments_.size()
-              ? std::min<std::size_t>(row_end, segments_[si].row_begin)
-              : row_end;
-      delta = std::max(delta, fused_rows_generic(x, out, accum, dictionary,
-                                                 weight, row, end));
-      row = end;
-    }
-  }
-  return delta;
-#endif
-}
-
-double FusedGatherPlan::fused_range_row_offset(
-    const std::vector<double>& x, std::vector<double>& out,
-    std::vector<double>& accum, double weight, std::size_t row_begin,
-    std::size_t row_end) const {
+double FusedGatherPlan::fused_range_row_offset(const Value* x, Value* out,
+                                               double* accum, double weight,
+                                               std::size_t row_begin,
+                                               std::size_t row_end) const {
+  const kernels::detail::RowOffsetPlan plan{
+      .lengths = lengths_.data(),
+      .entry_start = entry_start_.data(),
+      .offsets = offsets_.data(),
+      .value_ids = value_ids_.data(),
+      .dictionary = dictionary_.data(),
+      .dictionary_f = dictionary_f_.data(),
+      .prefetch_distance = prefetch_distance_,
+      .segments = segments_.data(),
+      .segment_count = segments_.size(),
+      .segment_values = segment_values_.data()};
 #if KIBAMRM_HAVE_AVX2_TIER
+  // Uniform segments dispatch automatically under any SIMD tier: the
+  // across-row kernels replace per-row scalar work with contiguous loads,
+  // which wins wherever segments exist at all (level-ordered chains).
   const kernels::Dispatch tier =
       kernels::double_tier(kernels::active_dispatch());
-  const bool simd = tier == kernels::Dispatch::kAvx2 ||
-                    tier == kernels::Dispatch::kAvx512;
-  // Uniform segments dispatch automatically under any SIMD tier: the
-  // across-row kernels replace gathers with contiguous loads, which wins
-  // wherever segments exist at all (they only exist on reordered chains).
-  if (simd && !segments_.empty()) {
-    return fused_segments_simd(x.data(), out.data(), accum.data(),
-                               dictionary_.data(), weight, row_begin,
-                               row_end, tier == kernels::Dispatch::kAvx512);
+  if (!segments_.empty()) {
+    if constexpr (std::is_same_v<Value, double>) {
+#if KIBAMRM_HAVE_AVX512_TIER
+      if (tier == kernels::Dispatch::kAvx512) {
+        return kernels::detail::avx512_plan_rows(plan, x, out, accum, weight,
+                                                 row_begin, row_end);
+      }
+#endif
+      if (tier == kernels::Dispatch::kAvx2) {
+        return kernels::detail::avx2_plan_rows(plan, x, out, accum, weight,
+                                               row_begin, row_end);
+      }
+    } else {
+#if KIBAMRM_HAVE_AVX512_TIER
+      if (tier == kernels::Dispatch::kAvx512) {
+        return kernels::detail::avx512_plan_rows_mixed(
+            plan, x, out, accum, weight, row_begin, row_end);
+      }
+#endif
+      if (tier == kernels::Dispatch::kAvx2) {
+        return kernels::detail::avx2_plan_rows_mixed(plan, x, out, accum,
+                                                     weight, row_begin,
+                                                     row_end);
+      }
+    }
   }
 #endif
-  return fused_rows_generic(x.data(), out.data(), accum.data(),
-                            dictionary_.data(), weight, row_begin, row_end);
+  return kernels::detail::plan_rows_scalar(plan, x, out, accum, weight,
+                                           row_begin, row_end);
 }
 
 double FusedGatherPlan::multiply_fused_range_mixed(
@@ -357,20 +247,8 @@ double FusedGatherPlan::multiply_fused_range_mixed(
                   "FusedGatherPlan: vectors not sized to rows()");
   KIBAMRM_REQUIRE(row_begin <= row_end && row_end <= rows(),
                   "FusedGatherPlan: invalid row range");
-#if KIBAMRM_HAVE_AVX2_TIER
-  const kernels::Dispatch tier =
-      kernels::double_tier(kernels::active_dispatch());
-  if ((tier == kernels::Dispatch::kAvx2 ||
-       tier == kernels::Dispatch::kAvx512) &&
-      !segments_.empty()) {
-    return fused_segments_simd(x.data(), out.data(), accum.data(),
-                               dictionary_f_.data(), weight, row_begin,
-                               row_end, tier == kernels::Dispatch::kAvx512);
-  }
-#endif
-  return fused_rows_generic(x.data(), out.data(), accum.data(),
-                            dictionary_f_.data(), weight, row_begin,
-                            row_end);
+  return fused_range_row_offset(x.data(), out.data(), accum.data(), weight,
+                                row_begin, row_end);
 }
 
 std::vector<std::pair<std::size_t, std::size_t>>

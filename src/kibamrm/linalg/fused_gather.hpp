@@ -14,25 +14,32 @@
 //                  (CSR spends 12); row lengths stream as one uint8 each.
 //                  ~1/3 the per-iteration traffic on the paper's Fig. 8
 //                  chains, measured ~1.3-1.5x end-to-end over the CSR
-//                  gather.  This layout is SIMD-dispatched: runs of
-//                  equal-length rows evaluate four rows per AVX2 gather
-//                  group when the avx2 kernel tier is active.
+//                  gather.
 //
 //                  Additionally, build() detects UNIFORM SEGMENTS -- runs
-//                  of consecutive rows that share both their length (1-4)
-//                  and their entire column-offset pattern.  On a
-//                  level-major-reordered battery chain (see
-//                  core::StateOrdering::kLevel) ~99% of rows fall into
+//                  of >= 8 consecutive rows that share both their length
+//                  (1-4) and their entire column-offset pattern.  On a
+//                  level-major-ordered battery chain (see
+//                  core::StateOrdering::kLevel) ~97% of rows fall into
 //                  such segments, and within one the x operands of entry
-//                  e across neighbouring rows are CONTIGUOUS: the SIMD
-//                  kernels vectorise across rows (one row per lane, 8 for
-//                  AVX-512 / 4 for AVX2) with plain vector loads for x, a
-//                  cache-resident dictionary gather for the values, and
-//                  the unchanged per-row canonical order -- so the
-//                  segment kernels stay inside the bitwise contract.
-//                  Segment dispatch is automatic whenever a SIMD tier is
-//                  active (unlike the opt-in legacy row-group gather,
-//                  which loses on unordered chains).
+//                  e across neighbouring rows are CONTIGUOUS.  Each
+//                  segment also owns a VALUE SLAB: entry e's values for
+//                  all its rows, stored contiguously as doubles in one
+//                  segment_values_ array (entry-major), or stored once
+//                  when the entry holds the same value on every row of
+//                  the segment (~43% of segment entries on fig8).  When
+//                  an AVX2 or AVX-512 tier is active, one SIMD kernel
+//                  call walks a whole row range: segments vectorise
+//                  across rows (one row per lane, 8 for AVX-512 / 4 for
+//                  AVX2) with plain vector loads for x and the values, a
+//                  broadcast for constant entries and masked loads and
+//                  stores for a segment's last < 8 (< 4) rows; the rows
+//                  between segments run the canonical scalar loop inside
+//                  the same call.  Every lane evaluates its row in the
+//                  canonical per-length order, so the segment kernels
+//                  stay inside the bitwise contract.  The mixed tier
+//                  reads the same slab and rounds each value to float in
+//                  register -- the bits of the float shadow dictionary.
 //
 //   kColumnDelta   fallback for wide chains whose column offsets escape
 //                  int16: per-row absolute first column (uint32) plus
@@ -40,8 +47,8 @@
 //                  columns are sorted, so any row whose largest gap fits
 //                  16 bits compresses, regardless of the band width.
 //                  Same 4 bytes per entry plus 4 per row; scalar kernel
-//                  only (the running-column dependency defeats the
-//                  gather grouping).
+//                  only (the running-column dependency defeats
+//                  vectorising across rows).
 //
 // The kernel itself is the same fused uniformisation step as
 // CsrMatrix::multiply_fused_range (spmv + Poisson-weighted accumulate +
@@ -85,7 +92,7 @@ class FusedGatherPlan {
 
   /// Fraction of rows covered by uniform segments (identical length and
   /// offset pattern, runs of >= 8 rows).  ~0 for naturally-ordered
-  /// battery chains, ~0.99 after level-major reordering.
+  /// battery chains, ~0.97 after level-major reordering.
   double uniform_fraction() const {
     return lengths_.empty()
                ? 0.0
@@ -105,8 +112,8 @@ class FusedGatherPlan {
   /// Snaps the interior boundaries of a shard partition (ascending,
   /// ranges.front() == 0, ranges.back() == rows()) to the nearest uniform
   /// segment edge, deduplicating boundaries that collapse.  A boundary
-  /// inside a segment forces the SIMD segment kernel to take partial
-  /// groups at both shard edges; after snapping, every segment is
+  /// inside a segment forces the SIMD segment kernel to take masked
+  /// partial groups at both shard edges; after snapping, every segment is
   /// processed whole by exactly one shard.  Bitwise-safe by construction:
   /// per-row arithmetic is partition-independent, so only load balance
   /// can change.  No-op for the column-delta layout or when no segments
@@ -139,43 +146,40 @@ class FusedGatherPlan {
                                     double weight, std::size_t row_begin,
                                     std::size_t row_end) const;
 
+  /// One maximal run of >= 8 rows sharing length (1-4) and offset
+  /// pattern, as the SIMD segment kernels read it.  Entry e of
+  /// segment-local row r reads x[row + offsets[e]] and the value
+  /// segment_values_[values[e] + r], or segment_values_[values[e]] for
+  /// every row when bit e of constant_mask is set.  Plain indices set by
+  /// build(): the plan is immutable and shared across lanes.
+  struct UniformSegment {
+    std::uint32_t row_begin = 0;
+    std::uint32_t row_count = 0;
+    std::uint8_t length = 0;
+    std::uint8_t constant_mask = 0;
+    std::int16_t offsets[4] = {};
+    std::uint32_t values[4] = {};
+  };
+
  private:
   FusedGatherPlan() = default;
 
-  double fused_range_row_offset(const std::vector<double>& x,
-                                std::vector<double>& out,
-                                std::vector<double>& accum, double weight,
-                                std::size_t row_begin,
-                                std::size_t row_end) const;
   double fused_range_column_delta(const std::vector<double>& x,
                                   std::vector<double>& out,
                                   std::vector<double>& accum, double weight,
                                   std::size_t row_begin,
                                   std::size_t row_end) const;
 
-  /// One maximal run of rows sharing length (1-4) and offset pattern.
-  struct UniformSegment {
-    std::uint32_t row_begin = 0;
-    std::uint32_t row_count = 0;
-    std::uint32_t length = 0;
-    std::uint32_t ids_base = 0;  ///< offset into segment_ids_
-  };
-
   void build_uniform_segments();
 
+  /// Row-offset kernel: one SIMD call walking segments and the rows
+  /// between them when a SIMD tier is active and segments exist, the
+  /// canonical scalar loop otherwise.  Value = double, or float for the
+  /// mixed tier.
   template <typename Value>
-  double fused_rows_generic(const Value* x, Value* out, double* accum,
-                            const Value* dictionary, double weight,
-                            std::size_t row_begin, std::size_t row_end) const;
-
-  /// Walks [row_begin, row_end) alternating between uniform segments
-  /// (vectorised kernel, 8 or 4 rows per group) and the canonical scalar
-  /// span between them.
-  template <typename Value>
-  double fused_segments_simd(const Value* x, Value* out, double* accum,
-                             const Value* dictionary, double weight,
-                             std::size_t row_begin, std::size_t row_end,
-                             bool use_avx512) const;
+  double fused_range_row_offset(const Value* x, Value* out, double* accum,
+                                double weight, std::size_t row_begin,
+                                std::size_t row_end) const;
 
   Layout layout_ = Layout::kRowOffset;
   std::vector<std::uint8_t> lengths_;      // stored entries per row
@@ -186,10 +190,10 @@ class FusedGatherPlan {
   std::vector<float> dictionary_f_;        // float32 shadow for the mixed tier
   // kRowOffset layout:
   std::vector<std::int16_t> offsets_;      // column - row, per entry
-  // Uniform segments (kRowOffset only), ascending by row_begin:
+  // Uniform segments (kRowOffset only), ascending by row_begin, and their
+  // value slabs (see UniformSegment):
   std::vector<UniformSegment> segments_;
-  std::vector<std::uint16_t> segment_ids_; // entry-major transposed ids:
-                                           // ids_base + e*row_count + r
+  std::vector<double> segment_values_;
   std::size_t uniform_rows_ = 0;           // rows covered by segments_
   // Rows of look-ahead for the scalar kernel's software prefetch of x;
   // 0 disables.  Set at build() time when the band is wide enough that

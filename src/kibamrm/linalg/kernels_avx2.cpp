@@ -7,10 +7,12 @@
 //     the order -- the 16-lane structure IS the contract),
 //   * element-wise kernels round per element, and no fused multiply-add
 //     is ever emitted (the contract fixes the intermediate rounding),
-//   * the uniform-segment gather kernels put one row per lane,
-//     evaluating each row in the same per-length order as the scalar
-//     switch -- lanes change which rows share a register, never the
-//     order within a row.
+//   * the uniform-segment lanes put one row per lane, evaluating each row
+//     in the same per-length order as the scalar switch -- lanes change
+//     which rows share a register, never the order within a row.  One
+//     call walks a whole row range; segment values are contiguous slab
+//     loads or broadcasts, and a segment's last < 4 rows run one masked
+//     group (vmaskmov) instead of a scalar loop.
 #include "kibamrm/linalg/kernels_internal.hpp"
 
 #if KIBAMRM_HAVE_AVX2_TIER
@@ -117,141 +119,185 @@ void avx2_scale(double* v, double alpha, std::size_t n) {
 namespace {
 
 /// Canonical per-length combine of per-entry product vectors, one row per
-/// lane: the same association as FusedGatherPlan's scalar switch.
-template <typename Entry>
-inline __m256d combine_entries(std::uint32_t length, const Entry& entry) {
-  __m256d v = entry(0);
-  if (length == 2) {
-    v = _mm256_add_pd(v, entry(1));
-  } else if (length == 3) {
-    v = _mm256_add_pd(_mm256_add_pd(v, entry(1)), entry(2));
-  } else if (length == 4) {
-    v = _mm256_add_pd(_mm256_add_pd(v, entry(1)),
-                      _mm256_add_pd(entry(2), entry(3)));
+/// lane: the same association as the scalar row loop's switch.
+template <std::uint32_t kLength, typename Entry>
+inline __m256d combine_entries(const Entry& entry) {
+  if constexpr (kLength == 1) {
+    return entry(0);
+  } else if constexpr (kLength == 2) {
+    return _mm256_add_pd(entry(0), entry(1));
+  } else if constexpr (kLength == 3) {
+    return _mm256_add_pd(_mm256_add_pd(entry(0), entry(1)), entry(2));
+  } else {
+    return _mm256_add_pd(_mm256_add_pd(entry(0), entry(1)),
+                         _mm256_add_pd(entry(2), entry(3)));
   }
-  return v;
 }
 
-/// Scalar remainder of a uniform run (< 4 rows), canonical order;
-/// templated over double (identity promotion) or float (each product
-/// promoted exactly to double).
-template <typename Value>
-inline double uniform_row_scalar(std::uint32_t length,
-                                 const std::int16_t* offsets,
-                                 const std::uint16_t* ids_t,
-                                 std::size_t seg_rows, std::size_t r,
-                                 const Value* dictionary, const Value* x,
-                                 std::size_t row) {
-  const auto term = [&](std::uint32_t e) {
-    return static_cast<double>(dictionary[ids_t[e * seg_rows + r]]) *
-           static_cast<double>(x[row + offsets[e]]);
-  };
-  switch (length) {
-    case 1:
-      return term(0);
-    case 2:
-      return term(0) + term(1);
-    case 3:
-      return term(0) + term(1) + term(2);
-    default:
-      return (term(0) + term(1)) + (term(2) + term(3));
+/// The first n < 4 rows of a group, as 64-bit (double) and 32-bit
+/// (float) lane masks.
+struct RowMask {
+  __m256i wide;
+  __m128i narrow;
+};
+
+inline RowMask row_mask(std::size_t n) {
+  const auto count = static_cast<long long>(n);
+  return {_mm256_cmpgt_epi64(_mm256_set1_epi64x(count),
+                             _mm256_setr_epi64x(0, 1, 2, 3)),
+          _mm_cmpgt_epi32(_mm_set1_epi32(static_cast<int>(count)),
+                          _mm_setr_epi32(0, 1, 2, 3))};
+}
+
+// Full-group and masked-group forms of the same operation, so one group
+// body serves both: the masked form touches only the group's first rows
+// (masked-off lanes load zero and never fault or store).
+inline __m256d load_pd(const double* p) { return _mm256_loadu_pd(p); }
+inline __m256d load_pd(const RowMask& mask, const double* p) {
+  return _mm256_maskload_pd(p, mask.wide);
+}
+inline void store_pd(double* p, __m256d v) { _mm256_storeu_pd(p, v); }
+inline void store_pd(const RowMask& mask, double* p, __m256d v) {
+  _mm256_maskstore_pd(p, mask.wide, v);
+}
+inline __m256d max_pd(__m256d a, __m256d b) { return _mm256_max_pd(a, b); }
+inline __m256d max_pd(const RowMask& mask, __m256d a, __m256d b) {
+  return _mm256_blendv_pd(a, _mm256_max_pd(a, b),
+                          _mm256_castsi256_pd(mask.wide));
+}
+
+/// Operand access of the double kernel: x and out are doubles.
+struct DoubleLanes {
+  using Value = double;
+  static __m256d load(const double* p) { return load_pd(p); }
+  static __m256d load(const RowMask& mask, const double* p) {
+    return load_pd(mask, p);
   }
+  static void store(double* p, __m256d v) { store_pd(p, v); }
+  static void store(const RowMask& mask, double* p, __m256d v) {
+    store_pd(mask, p, v);
+  }
+  static __m256d round(__m256d v) { return v; }
+};
+
+/// Operand access of the mixed kernel: x and out are floats, and round()
+/// takes each slab value to float in register -- the bits of the float
+/// shadow dictionary -- before it promotes exactly back to double.
+struct MixedLanes {
+  using Value = float;
+  static __m256d load(const float* p) {
+    return _mm256_cvtps_pd(_mm_loadu_ps(p));
+  }
+  static __m256d load(const RowMask& mask, const float* p) {
+    return _mm256_cvtps_pd(_mm_maskload_ps(p, mask.narrow));
+  }
+  static void store(float* p, __m256d v) {
+    _mm_storeu_ps(p, _mm256_cvtpd_ps(v));
+  }
+  static void store(const RowMask& mask, float* p, __m256d v) {
+    _mm_maskstore_ps(p, mask.narrow, _mm256_cvtpd_ps(v));
+  }
+  static __m256d round(__m256d v) {
+    return _mm256_cvtps_pd(_mm256_cvtpd_ps(v));
+  }
+};
+
+/// Rows [row, end) of one uniform segment: groups of four rows with
+/// plain loads, then one masked group for the remaining < 4 rows.
+template <std::uint32_t kLength, typename Lanes>
+inline void segment_rows(const FusedGatherPlan::UniformSegment& segment,
+                         const double* slab, const typename Lanes::Value* x,
+                         typename Lanes::Value* out, double* accum,
+                         double weight, std::size_t row, std::size_t end,
+                         __m256d& delta_v) {
+  const __m256d sign_mask = _mm256_set1_pd(-0.0);
+  const __m256d weight_v = _mm256_set1_pd(weight);
+  // Per-entry value sources, hoisted out of the row loop: a broadcast
+  // register for a constant entry, its slab otherwise.
+  __m256d constant[kLength] = {};
+  const double* values[kLength];
+  for (std::uint32_t e = 0; e < kLength; ++e) {
+    values[e] = slab + segment.values[e];
+    if ((segment.constant_mask >> e) & 1u) {
+      constant[e] = Lanes::round(_mm256_set1_pd(*values[e]));
+    }
+  }
+  // One group of rows starting at `row` (segment-local `r`); `mask...` is
+  // empty for a full group of four, the row mask for the tail.
+  const auto group = [&](std::size_t r, const auto&... mask) {
+    const auto entry = [&](std::uint32_t e) {
+      const __m256d dv =
+          ((segment.constant_mask >> e) & 1u)
+              ? constant[e]
+              : Lanes::round(load_pd(mask..., values[e] + r));
+      const __m256d xv = Lanes::load(
+          mask...,
+          x + (static_cast<std::ptrdiff_t>(row) + segment.offsets[e]));
+      return _mm256_mul_pd(dv, xv);
+    };
+    const __m256d v = combine_entries<kLength>(entry);
+    Lanes::store(mask..., out + row, v);
+    if (weight != 0.0) {
+      store_pd(mask..., accum + row,
+               _mm256_add_pd(load_pd(mask..., accum + row),
+                             _mm256_mul_pd(weight_v, v)));
+    }
+    const __m256d distance = _mm256_andnot_pd(
+        sign_mask, _mm256_sub_pd(v, Lanes::load(mask..., x + row)));
+    delta_v = max_pd(mask..., delta_v, distance);
+  };
+  std::size_t r = row - segment.row_begin;
+  for (; row + 4 <= end; row += 4, r += 4) group(r);
+  if (row < end) group(r, row_mask(end - row));
+}
+
+/// The whole range in one call; the segment lanes' delta stays in a
+/// register across segments.
+template <typename Lanes>
+double plan_rows(const RowOffsetPlan& plan, const typename Lanes::Value* x,
+                 typename Lanes::Value* out, double* accum, double weight,
+                 std::size_t row_begin, std::size_t row_end) {
+  __m256d delta_v = _mm256_setzero_pd();
+  const double* slab = plan.segment_values;
+  const double delta = walk_plan_rows(
+      plan, x, out, accum, weight, row_begin, row_end,
+      [&](const FusedGatherPlan::UniformSegment& segment, std::size_t row,
+          std::size_t end) {
+        switch (segment.length) {
+          case 1:
+            segment_rows<1, Lanes>(segment, slab, x, out, accum, weight, row,
+                                   end, delta_v);
+            break;
+          case 2:
+            segment_rows<2, Lanes>(segment, slab, x, out, accum, weight, row,
+                                   end, delta_v);
+            break;
+          case 3:
+            segment_rows<3, Lanes>(segment, slab, x, out, accum, weight, row,
+                                   end, delta_v);
+            break;
+          default:
+            segment_rows<4, Lanes>(segment, slab, x, out, accum, weight, row,
+                                   end, delta_v);
+        }
+      });
+  return std::max(delta, lane_max(delta_v));
 }
 
 }  // namespace
 
-double avx2_plan_uniform_rows(std::uint32_t length,
-                              const std::int16_t* offsets,
-                              const std::uint16_t* ids_t,
-                              std::size_t seg_rows, std::size_t local_begin,
-                              const double* dictionary, const double* x,
-                              double* out, double* accum, double weight,
-                              std::size_t row_begin, std::size_t row_end) {
-  const __m256d sign_mask = _mm256_set1_pd(-0.0);
-  const __m256d weight_v = _mm256_set1_pd(weight);
-  __m256d delta_v = _mm256_setzero_pd();
-  double delta = 0.0;
-  std::size_t row = row_begin;
-  std::size_t r = local_begin;
-  for (; row + 4 <= row_end; row += 4, r += 4) {
-    const auto entry = [&](std::uint32_t e) {
-      // Four consecutive rows of the run: dictionary ids are contiguous
-      // in the transposed slab, x operands are contiguous because the
-      // column offset is shared -- no gather needed for x.  Dictionary
-      // lanes compose from scalar loads (cache-resident dictionary;
-      // measured on par with vgatherdpd at 4 lanes).
-      const std::uint16_t* ids = ids_t + e * seg_rows + r;
-      const __m256d dv =
-          _mm256_set_pd(dictionary[ids[3]], dictionary[ids[2]],
-                        dictionary[ids[1]], dictionary[ids[0]]);
-      const __m256d xv = _mm256_loadu_pd(x + row + offsets[e]);
-      return _mm256_mul_pd(dv, xv);
-    };
-    const __m256d v = combine_entries(length, entry);
-    _mm256_storeu_pd(out + row, v);
-    if (weight != 0.0) {
-      _mm256_storeu_pd(accum + row,
-                       _mm256_add_pd(_mm256_loadu_pd(accum + row),
-                                     _mm256_mul_pd(weight_v, v)));
-    }
-    delta_v = _mm256_max_pd(
-        delta_v, _mm256_andnot_pd(
-                     sign_mask, _mm256_sub_pd(v, _mm256_loadu_pd(x + row))));
-  }
-  for (; row < row_end; ++row, ++r) {
-    const double v = uniform_row_scalar(length, offsets, ids_t, seg_rows, r,
-                                        dictionary, x, row);
-    out[row] = v;
-    if (weight != 0.0) accum[row] += weight * v;
-    delta = std::max(delta, std::abs(v - x[row]));
-  }
-  return std::max(delta, lane_max(delta_v));
+double avx2_plan_rows(const RowOffsetPlan& plan, const double* x,
+                      double* out, double* accum, double weight,
+                      std::size_t row_begin, std::size_t row_end) {
+  return plan_rows<DoubleLanes>(plan, x, out, accum, weight, row_begin,
+                                row_end);
 }
 
-double avx2_plan_uniform_rows_mixed(
-    std::uint32_t length, const std::int16_t* offsets,
-    const std::uint16_t* ids_t, std::size_t seg_rows,
-    std::size_t local_begin, const float* dictionary, const float* x,
-    float* out, double* accum, double weight, std::size_t row_begin,
-    std::size_t row_end) {
-  const __m256d sign_mask = _mm256_set1_pd(-0.0);
-  const __m256d weight_v = _mm256_set1_pd(weight);
-  __m256d delta_v = _mm256_setzero_pd();
-  double delta = 0.0;
-  std::size_t row = row_begin;
-  std::size_t r = local_begin;
-  for (; row + 4 <= row_end; row += 4, r += 4) {
-    const auto entry = [&](std::uint32_t e) {
-      const std::uint16_t* ids = ids_t + e * seg_rows + r;
-      // float32 operands halve the streamed bytes; promotion to double
-      // before the multiply keeps every product exact.
-      const __m128 dvf =
-          _mm_set_ps(dictionary[ids[3]], dictionary[ids[2]],
-                     dictionary[ids[1]], dictionary[ids[0]]);
-      const __m256d dv = _mm256_cvtps_pd(dvf);
-      const __m256d xv =
-          _mm256_cvtps_pd(_mm_loadu_ps(x + row + offsets[e]));
-      return _mm256_mul_pd(dv, xv);
-    };
-    const __m256d v = combine_entries(length, entry);
-    _mm_storeu_ps(out + row, _mm256_cvtpd_ps(v));
-    if (weight != 0.0) {
-      _mm256_storeu_pd(accum + row,
-                       _mm256_add_pd(_mm256_loadu_pd(accum + row),
-                                     _mm256_mul_pd(weight_v, v)));
-    }
-    const __m256d xr = _mm256_cvtps_pd(_mm_loadu_ps(x + row));
-    delta_v = _mm256_max_pd(
-        delta_v, _mm256_andnot_pd(sign_mask, _mm256_sub_pd(v, xr)));
-  }
-  for (; row < row_end; ++row, ++r) {
-    const double v = uniform_row_scalar(length, offsets, ids_t, seg_rows, r,
-                                        dictionary, x, row);
-    out[row] = static_cast<float>(v);
-    if (weight != 0.0) accum[row] += weight * v;
-    delta = std::max(delta, std::abs(v - static_cast<double>(x[row])));
-  }
-  return std::max(delta, lane_max(delta_v));
+double avx2_plan_rows_mixed(const RowOffsetPlan& plan, const float* x,
+                            float* out, double* accum, double weight,
+                            std::size_t row_begin, std::size_t row_end) {
+  return plan_rows<MixedLanes>(plan, x, out, accum, weight, row_begin,
+                               row_end);
 }
 
 }  // namespace kibamrm::linalg::kernels::detail

@@ -9,16 +9,17 @@
 //     arithmetic,
 //   * element-wise kernels round per element; the masked tails only
 //     change which instruction performs an order-free operation,
-//   * the uniform-run kernel vectorises ACROSS rows (lane r = row r), so
-//     each lane executes the scalar per-length order unchanged -- eight
-//     rows share registers, no row's arithmetic is reassociated.
+//   * the uniform-segment lanes vectorise ACROSS rows (lane r = row r),
+//     so each lane executes the scalar per-length order unchanged --
+//     eight rows share registers, no row's arithmetic is reassociated.
 //
-// Dictionary values are fetched with vgatherdpd: unlike the general
-// gather pattern PR 5 measured (and shelved) on AVX2, the uniform-run
-// kernel gathers from a dictionary of a few thousand distinct rates that
-// stays cache-resident, where the hardware gather's fixed cost is
-// amortised over eight lanes.  The x operands need no gather at all --
-// identical column offsets across the run make them contiguous loads.
+// The plan-row kernel makes one call per row range and walks segments
+// and the rows between them itself, keeping the delta in a register.
+// Inside a segment nothing is gathered: identical column offsets make
+// the x operands contiguous loads, the values come from the segment's
+// entry-major slab as contiguous loads (or one broadcast for an entry
+// that is constant over the segment), and the last < 8 rows run one
+// masked group instead of a scalar loop.
 #include "kibamrm/linalg/kernels_internal.hpp"
 
 #if KIBAMRM_HAVE_AVX512_TIER
@@ -75,45 +76,157 @@ inline double dot_block(const double* a, const double* b, std::size_t begin,
 }
 
 /// Canonical per-length combine of per-entry product vectors, one row per
-/// lane: the same association as FusedGatherPlan's scalar switch.
-template <typename Entry>
-inline __m512d combine_entries512(std::uint32_t length, const Entry& entry) {
-  __m512d v = entry(0);
-  if (length == 2) {
-    v = _mm512_add_pd(v, entry(1));
-  } else if (length == 3) {
-    v = _mm512_add_pd(_mm512_add_pd(v, entry(1)), entry(2));
-  } else if (length == 4) {
-    v = _mm512_add_pd(_mm512_add_pd(v, entry(1)),
-                      _mm512_add_pd(entry(2), entry(3)));
+/// lane: the same association as the scalar row loop's switch.
+template <std::uint32_t kLength, typename Entry>
+inline __m512d combine_entries512(const Entry& entry) {
+  if constexpr (kLength == 1) {
+    return entry(0);
+  } else if constexpr (kLength == 2) {
+    return _mm512_add_pd(entry(0), entry(1));
+  } else if constexpr (kLength == 3) {
+    return _mm512_add_pd(_mm512_add_pd(entry(0), entry(1)), entry(2));
+  } else {
+    return _mm512_add_pd(_mm512_add_pd(entry(0), entry(1)),
+                         _mm512_add_pd(entry(2), entry(3)));
   }
-  return v;
 }
 
-/// Scalar remainder of a uniform run (< 8 rows), canonical order.
-/// Templated over the operand type: double (identity promotion) or float
-/// (each product promoted exactly to double).
-template <typename Value>
-inline double uniform_row_scalar(std::uint32_t length,
-                                 const std::int16_t* offsets,
-                                 const std::uint16_t* ids_t,
-                                 std::size_t seg_rows, std::size_t r,
-                                 const Value* dictionary, const Value* x,
-                                 std::size_t row) {
-  const auto term = [&](std::uint32_t e) {
-    return static_cast<double>(dictionary[ids_t[e * seg_rows + r]]) *
-           static_cast<double>(x[row + offsets[e]]);
-  };
-  switch (length) {
-    case 1:
-      return term(0);
-    case 2:
-      return term(0) + term(1);
-    case 3:
-      return term(0) + term(1) + term(2);
-    default:
-      return (term(0) + term(1)) + (term(2) + term(3));
+// Full-group and masked-group forms of the same operation, so one group
+// body serves both: the masked form touches only the group's first rows
+// (masked-off lanes load zero and never fault or store).
+inline __m512d load_pd(const double* p) { return _mm512_loadu_pd(p); }
+inline __m512d load_pd(__mmask8 mask, const double* p) {
+  return _mm512_maskz_loadu_pd(mask, p);
+}
+inline void store_pd(double* p, __m512d v) { _mm512_storeu_pd(p, v); }
+inline void store_pd(__mmask8 mask, double* p, __m512d v) {
+  _mm512_mask_storeu_pd(p, mask, v);
+}
+inline __m512d max_pd(__m512d a, __m512d b) { return _mm512_max_pd(a, b); }
+inline __m512d max_pd(__mmask8 mask, __m512d a, __m512d b) {
+  return _mm512_mask_max_pd(a, mask, a, b);
+}
+
+/// Operand access of the double kernel: x and out are doubles.
+struct DoubleLanes {
+  using Value = double;
+  static __m512d load(const double* p) { return load_pd(p); }
+  static __m512d load(__mmask8 mask, const double* p) {
+    return load_pd(mask, p);
   }
+  static void store(double* p, __m512d v) { store_pd(p, v); }
+  static void store(__mmask8 mask, double* p, __m512d v) {
+    store_pd(mask, p, v);
+  }
+  static __m512d round(__m512d v) { return v; }
+};
+
+/// Operand access of the mixed kernel: x and out are floats, and round()
+/// takes each slab value to float in register -- the bits of the float
+/// shadow dictionary -- before it promotes exactly back to double.
+struct MixedLanes {
+  using Value = float;
+  static __m512d load(const float* p) {
+    return _mm512_cvtps_pd(_mm256_loadu_ps(p));
+  }
+  static __m512d load(__mmask8 mask, const float* p) {
+    return _mm512_cvtps_pd(_mm256_maskz_loadu_ps(mask, p));
+  }
+  static void store(float* p, __m512d v) {
+    _mm256_storeu_ps(p, _mm512_cvtpd_ps(v));
+  }
+  static void store(__mmask8 mask, float* p, __m512d v) {
+    _mm256_mask_storeu_ps(p, mask, _mm512_cvtpd_ps(v));
+  }
+  static __m512d round(__m512d v) {
+    return _mm512_cvtps_pd(_mm512_cvtpd_ps(v));
+  }
+};
+
+/// Rows [row, end) of one uniform segment: groups of eight rows with
+/// plain loads, then one masked group for the remaining < 8 rows.
+template <std::uint32_t kLength, typename Lanes>
+inline void segment_rows512(const FusedGatherPlan::UniformSegment& segment,
+                            const double* slab,
+                            const typename Lanes::Value* x,
+                            typename Lanes::Value* out, double* accum,
+                            double weight, std::size_t row, std::size_t end,
+                            __m512d& delta_v) {
+  const __m512d sign_mask = _mm512_set1_pd(-0.0);
+  const __m512d weight_v = _mm512_set1_pd(weight);
+  // Per-entry value sources, hoisted out of the row loop: a broadcast
+  // register for a constant entry, its slab otherwise.
+  __m512d constant[kLength] = {};
+  const double* values[kLength];
+  for (std::uint32_t e = 0; e < kLength; ++e) {
+    values[e] = slab + segment.values[e];
+    if ((segment.constant_mask >> e) & 1u) {
+      constant[e] = Lanes::round(_mm512_set1_pd(*values[e]));
+    }
+  }
+  // One group of rows starting at `row` (segment-local `r`); `mask...` is
+  // empty for a full group of eight, the row mask for the tail.
+  const auto group = [&](std::size_t r, auto... mask) {
+    const auto entry = [&](std::uint32_t e) {
+      const __m512d dv =
+          ((segment.constant_mask >> e) & 1u)
+              ? constant[e]
+              : Lanes::round(load_pd(mask..., values[e] + r));
+      const __m512d xv = Lanes::load(
+          mask...,
+          x + (static_cast<std::ptrdiff_t>(row) + segment.offsets[e]));
+      return _mm512_mul_pd(dv, xv);
+    };
+    const __m512d v = combine_entries512<kLength>(entry);
+    Lanes::store(mask..., out + row, v);
+    if (weight != 0.0) {
+      store_pd(mask..., accum + row,
+               _mm512_add_pd(load_pd(mask..., accum + row),
+                             _mm512_mul_pd(weight_v, v)));
+    }
+    const __m512d distance = _mm512_andnot_pd(
+        sign_mask, _mm512_sub_pd(v, Lanes::load(mask..., x + row)));
+    delta_v = max_pd(mask..., delta_v, distance);
+  };
+  std::size_t r = row - segment.row_begin;
+  for (; row + 8 <= end; row += 8, r += 8) group(r);
+  if (row < end) {
+    group(r, static_cast<__mmask8>((1u << (end - row)) - 1u));
+  }
+}
+
+/// The whole range in one call; the segment lanes' delta stays in a
+/// register across segments.
+template <typename Lanes>
+double plan_rows512(const RowOffsetPlan& plan,
+                    const typename Lanes::Value* x,
+                    typename Lanes::Value* out, double* accum, double weight,
+                    std::size_t row_begin, std::size_t row_end) {
+  __m512d delta_v = _mm512_setzero_pd();
+  const double* slab = plan.segment_values;
+  const double delta = walk_plan_rows(
+      plan, x, out, accum, weight, row_begin, row_end,
+      [&](const FusedGatherPlan::UniformSegment& segment, std::size_t row,
+          std::size_t end) {
+        switch (segment.length) {
+          case 1:
+            segment_rows512<1, Lanes>(segment, slab, x, out, accum, weight,
+                                      row, end, delta_v);
+            break;
+          case 2:
+            segment_rows512<2, Lanes>(segment, slab, x, out, accum, weight,
+                                      row, end, delta_v);
+            break;
+          case 3:
+            segment_rows512<3, Lanes>(segment, slab, x, out, accum, weight,
+                                      row, end, delta_v);
+            break;
+          default:
+            segment_rows512<4, Lanes>(segment, slab, x, out, accum, weight,
+                                      row, end, delta_v);
+        }
+      });
+  return std::max(delta, _mm512_reduce_max_pd(delta_v));
 }
 
 }  // namespace
@@ -161,97 +274,18 @@ void avx512_scale(double* v, double alpha, std::size_t n) {
   }
 }
 
-double avx512_plan_uniform_rows(std::uint32_t length,
-                                const std::int16_t* offsets,
-                                const std::uint16_t* ids_t,
-                                std::size_t seg_rows,
-                                std::size_t local_begin,
-                                const double* dictionary, const double* x,
-                                double* out, double* accum, double weight,
-                                std::size_t row_begin, std::size_t row_end) {
-  const __m512d sign_mask = _mm512_set1_pd(-0.0);
-  const __m512d weight_v = _mm512_set1_pd(weight);
-  __m512d delta_v = _mm512_setzero_pd();
-  double delta = 0.0;
-  std::size_t row = row_begin;
-  std::size_t r = local_begin;
-  for (; row + 8 <= row_end; row += 8, r += 8) {
-    const auto entry = [&](std::uint32_t e) {
-      // Eight consecutive rows of the run: dictionary ids are contiguous
-      // in the transposed slab, x operands are contiguous because the
-      // column offset is shared.
-      const __m128i ids16 = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(ids_t + e * seg_rows + r));
-      const __m256i idx = _mm256_cvtepu16_epi32(ids16);
-      const __m512d dv = _mm512_i32gather_pd(idx, dictionary, 8);
-      const __m512d xv = _mm512_loadu_pd(x + row + offsets[e]);
-      return _mm512_mul_pd(dv, xv);
-    };
-    const __m512d v = combine_entries512(length, entry);
-    _mm512_storeu_pd(out + row, v);
-    if (weight != 0.0) {
-      _mm512_storeu_pd(accum + row,
-                       _mm512_add_pd(_mm512_loadu_pd(accum + row),
-                                     _mm512_mul_pd(weight_v, v)));
-    }
-    delta_v = _mm512_max_pd(
-        delta_v, _mm512_andnot_pd(
-                     sign_mask, _mm512_sub_pd(v, _mm512_loadu_pd(x + row))));
-  }
-  for (; row < row_end; ++row, ++r) {
-    const double v = uniform_row_scalar(length, offsets, ids_t, seg_rows, r,
-                                        dictionary, x, row);
-    out[row] = v;
-    if (weight != 0.0) accum[row] += weight * v;
-    delta = std::max(delta, std::abs(v - x[row]));
-  }
-  return std::max(delta, _mm512_reduce_max_pd(delta_v));
+double avx512_plan_rows(const RowOffsetPlan& plan, const double* x,
+                        double* out, double* accum, double weight,
+                        std::size_t row_begin, std::size_t row_end) {
+  return plan_rows512<DoubleLanes>(plan, x, out, accum, weight, row_begin,
+                                   row_end);
 }
 
-double avx512_plan_uniform_rows_mixed(
-    std::uint32_t length, const std::int16_t* offsets,
-    const std::uint16_t* ids_t, std::size_t seg_rows,
-    std::size_t local_begin, const float* dictionary, const float* x,
-    float* out, double* accum, double weight, std::size_t row_begin,
-    std::size_t row_end) {
-  const __m512d sign_mask = _mm512_set1_pd(-0.0);
-  const __m512d weight_v = _mm512_set1_pd(weight);
-  __m512d delta_v = _mm512_setzero_pd();
-  double delta = 0.0;
-  std::size_t row = row_begin;
-  std::size_t r = local_begin;
-  for (; row + 8 <= row_end; row += 8, r += 8) {
-    const auto entry = [&](std::uint32_t e) {
-      const __m128i ids16 = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(ids_t + e * seg_rows + r));
-      const __m256i idx = _mm256_cvtepu16_epi32(ids16);
-      // float32 operands halve the streamed bytes; the promotion to
-      // double before the multiply keeps every product exact.
-      const __m256 dvf = _mm256_i32gather_ps(dictionary, idx, 4);
-      const __m512d dv = _mm512_cvtps_pd(dvf);
-      const __m512d xv =
-          _mm512_cvtps_pd(_mm256_loadu_ps(x + row + offsets[e]));
-      return _mm512_mul_pd(dv, xv);
-    };
-    const __m512d v = combine_entries512(length, entry);
-    _mm256_storeu_ps(out + row, _mm512_cvtpd_ps(v));
-    if (weight != 0.0) {
-      _mm512_storeu_pd(accum + row,
-                       _mm512_add_pd(_mm512_loadu_pd(accum + row),
-                                     _mm512_mul_pd(weight_v, v)));
-    }
-    const __m512d xr = _mm512_cvtps_pd(_mm256_loadu_ps(x + row));
-    delta_v = _mm512_max_pd(
-        delta_v, _mm512_andnot_pd(sign_mask, _mm512_sub_pd(v, xr)));
-  }
-  for (; row < row_end; ++row, ++r) {
-    const double v = uniform_row_scalar(length, offsets, ids_t, seg_rows, r,
-                                        dictionary, x, row);
-    out[row] = static_cast<float>(v);
-    if (weight != 0.0) accum[row] += weight * v;
-    delta = std::max(delta, std::abs(v - static_cast<double>(x[row])));
-  }
-  return std::max(delta, _mm512_reduce_max_pd(delta_v));
+double avx512_plan_rows_mixed(const RowOffsetPlan& plan, const float* x,
+                              float* out, double* accum, double weight,
+                              std::size_t row_begin, std::size_t row_end) {
+  return plan_rows512<MixedLanes>(plan, x, out, accum, weight, row_begin,
+                                  row_end);
 }
 
 }  // namespace kibamrm::linalg::kernels::detail

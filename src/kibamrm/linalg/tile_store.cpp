@@ -57,8 +57,8 @@ std::uint64_t round_up(std::uint64_t value, std::uint64_t align) {
 /// The canonical fused uniformisation step over one slab's rows, shared
 /// by all three encodings through `value_at(e)`.  Term order per row
 /// length mirrors CsrMatrix::multiply_fused_range and
-/// FusedGatherPlan::fused_rows_generic exactly -- see the bitwise
-/// contract in the header.
+/// FusedGatherPlan's scalar row loop (kernels::detail::plan_rows_scalar)
+/// exactly -- see the bitwise contract in the header.
 template <typename Offset, typename ValueAt>
 double fused_tile_rows(const std::uint32_t* entry_start,
                        const Offset* offsets, ValueAt value_at,

@@ -60,7 +60,7 @@ Verdict bitwise_equal(const std::vector<std::vector<double>>& reference,
 
 TEST(Determinism, ParallelBackendBitwiseAcrossThreadCounts) {
   // Chains dense enough that plan_gather_shards actually engages the
-  // ThreadPool (>= ~16k stored entries); a small-chain run would pass
+  // ThreadPool (>= kPoolMinEntries); a small-chain run would pass
   // vacuously through the inline path.
   CtmcGenOptions options;
   options.family = CtmcFamily::kErgodic;
@@ -72,7 +72,7 @@ TEST(Determinism, ParallelBackendBitwiseAcrossThreadCounts) {
       "ParallelBitwiseAcrossThreads", ctmc_gen(options),
       [](const CtmcCase& value) {
         const markov::Ctmc chain = value.chain();
-        if (chain.generator().nonzeros() < 16384)
+        if (chain.generator().nonzeros() < engine::kPoolMinEntries)
           return Verdict::pass();  // inline path; nothing to shard
         std::vector<std::vector<std::vector<double>>> runs;
         for (const std::size_t threads : {1, 2, 4}) {

@@ -1,8 +1,9 @@
 // Tests for the runtime-dispatched kernel layer: the fixed-block pairwise
 // reduction contract (sharded partials compose bitwise for any block
-// partition), scalar <-> AVX2 dispatch parity on every kernel, and the
-// pool-sharded Arnoldi factorisation's bitwise independence of the thread
-// count.
+// partition), scalar <-> AVX2 <-> AVX-512 dispatch parity on every kernel
+// (the uniform-segment slab lanes included, down to their masked tails),
+// and the pool-sharded Arnoldi factorisation's bitwise independence of
+// the thread count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -352,6 +353,165 @@ TEST(KernelUniformSegments, MixedAccuracyAndPartitionDeterminism) {
   EXPECT_EQ(out_f, out_r);
   EXPECT_EQ(accum_f, accum_r);
   EXPECT_EQ(delta_full, std::max(delta_lo, delta_hi));
+}
+
+// Segment-kernel workout: for every length 1-4 and every tail of 0-7
+// rows after whole groups of eight, a run of identical-pattern rows whose
+// entries alternate between a value shared by the whole run (stored once
+// in the slab and broadcast) and a value that changes per row; which
+// entries are constant flips with the run, so each length sees both.
+// Length-5 separator rows keep the runs apart and run the generic row
+// loop between segments.  The final run ends on the last row with
+// non-positive offsets, so its masked tail sits at the end of x.
+CsrMatrix segment_workout(std::size_t* segment_count) {
+  struct Run {
+    std::size_t rows;
+    std::vector<int> offsets;
+  };
+  const std::vector<std::vector<int>> patterns = {
+      {0}, {-1, 2}, {-3, 0, 1}, {-2, -1, 3, 5}};
+  std::vector<Run> runs;
+  for (std::size_t length = 1; length <= 4; ++length) {
+    for (std::size_t tail = 0; tail < 8; ++tail) {
+      runs.push_back({8 * (1 + tail % 3) + tail, patterns[length - 1]});
+    }
+  }
+  runs.push_back({16 + 3, {-2, 0}});
+  *segment_count = runs.size();
+  const std::size_t pad = 8;  // generic rows ahead of the first run
+  std::size_t n = pad;
+  for (const Run& run : runs) n += run.rows + 1;  // + separator row
+  n -= 1;  // the final run has no separator after it
+  std::mt19937 rng(31);
+  std::uniform_real_distribution<double> uniform(0.01, 0.2);
+  CooBuilder builder(n, n);
+  const auto separator = [&](std::size_t row) {
+    for (int offset : {-4, -2, 0, 3, 6}) {
+      const auto col = static_cast<std::ptrdiff_t>(row) + offset;
+      if (col >= 0 && col < static_cast<std::ptrdiff_t>(n)) {
+        builder.add(row, static_cast<std::size_t>(col), uniform(rng));
+      }
+    }
+  };
+  std::size_t row = 0;
+  for (; row < pad; ++row) separator(row);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const Run& run = runs[i];
+    std::vector<double> shared(run.offsets.size());
+    for (double& value : shared) value = uniform(rng);
+    for (std::size_t r = 0; r < run.rows; ++r, ++row) {
+      for (std::size_t e = 0; e < run.offsets.size(); ++e) {
+        const bool constant = (e + i) % 2 == 0;
+        builder.add(row, row + run.offsets[e],
+                    constant ? shared[e] : uniform(rng));
+      }
+    }
+    if (i + 1 < runs.size()) separator(row++);
+  }
+  return builder.build();
+}
+
+/// Splits [0, n) at every multiple of `step`: most cuts land inside a
+/// segment, at every group phase, as unaligned shard splits do.
+std::vector<std::size_t> cuts_every(std::size_t n, std::size_t step) {
+  std::vector<std::size_t> cuts;
+  for (std::size_t c = 0; c < n; c += step) cuts.push_back(c);
+  cuts.push_back(n);
+  return cuts;
+}
+
+TEST(KernelUniformSegments, SlabLanesBitwiseAcrossTiersLengthsAndTails) {
+  DispatchGuard guard;
+  std::size_t runs = 0;
+  const CsrMatrix m = segment_workout(&runs);
+  const std::size_t n = m.rows();
+  const auto plan = FusedGatherPlan::build(m);
+  ASSERT_TRUE(plan.has_value());
+  ASSERT_EQ(plan->layout(), FusedGatherPlan::Layout::kRowOffset);
+  ASSERT_EQ(plan->uniform_segment_spans().size(), runs);
+  const auto x = random_vector(n, 30);
+  std::vector<k::Dispatch> tiers = {k::Dispatch::kScalar};
+  for (const k::Dispatch tier : runnable_simd_tiers()) tiers.push_back(tier);
+  for (const double weight : {0.0, 0.375}) {
+    // The CSR kernel is the tier-independent reference.
+    std::vector<double> out_ref(n, 0.0), accum_ref(n, 0.5);
+    const double delta_ref =
+        m.multiply_fused_range(x, out_ref, accum_ref, weight, 0, n);
+    for (const k::Dispatch tier : tiers) {
+      k::set_dispatch(tier);
+      const std::string label = std::string(k::dispatch_name(tier)) +
+                                " weight=" + std::to_string(weight);
+      std::vector<double> out(n, 0.0), accum(n, 0.5);
+      const double delta =
+          plan->multiply_fused_range(x, out, accum, weight, 0, n);
+      EXPECT_EQ(out, out_ref) << label;
+      EXPECT_EQ(accum, accum_ref) << label;
+      EXPECT_EQ(delta, delta_ref) << label;
+      for (const std::size_t step : {5u, 13u}) {
+        const auto cuts = cuts_every(n, step);
+        std::vector<double> out_r(n, 0.0), accum_r(n, 0.5);
+        double delta_r = 0.0;
+        for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
+          delta_r = std::max(delta_r, plan->multiply_fused_range(
+                                          x, out_r, accum_r, weight,
+                                          cuts[c], cuts[c + 1]));
+        }
+        EXPECT_EQ(out_r, out_ref) << label << " step " << step;
+        EXPECT_EQ(accum_r, accum_ref) << label << " step " << step;
+        EXPECT_EQ(delta_r, delta_ref) << label << " step " << step;
+      }
+    }
+  }
+}
+
+TEST(KernelUniformSegments, MixedSegmentsMatchScalarFloatPathBitwise) {
+  // The scalar float path multiplies float32 values by float32 operands,
+  // each product exact in double, summed in the canonical order.  The
+  // CSR double kernel on the same float-rounded values and operands does
+  // exactly that arithmetic, so the mixed segment lanes -- which round the
+  // double slab to float in register -- must reproduce it bit for bit.
+  DispatchGuard guard;
+  std::size_t runs = 0;
+  const CsrMatrix m = segment_workout(&runs);
+  const std::size_t n = m.rows();
+  const auto plan = FusedGatherPlan::build(m);
+  ASSERT_TRUE(plan.has_value());
+  ASSERT_TRUE(plan->mixed_supported());
+  CooBuilder rounded_builder(n, n);
+  const auto row_ptr = m.row_pointers();
+  const auto cols = m.column_indices();
+  const auto values = m.values();
+  for (std::size_t row = 0; row < n; ++row) {
+    for (std::uint32_t k = row_ptr[row]; k < row_ptr[row + 1]; ++k) {
+      rounded_builder.add(row, cols[k],
+                          static_cast<double>(static_cast<float>(values[k])));
+    }
+  }
+  const CsrMatrix rounded = rounded_builder.build();
+  const auto x = random_vector(n, 32);
+  const std::vector<float> x_f(x.begin(), x.end());
+  const std::vector<double> x_rounded(x_f.begin(), x_f.end());
+  k::set_dispatch(k::Dispatch::kMixed);
+  for (const double weight : {0.0, 0.625}) {
+    std::vector<double> out_ref(n, 0.0), accum_ref(n, 0.25);
+    const double delta_ref = rounded.multiply_fused_range(
+        x_rounded, out_ref, accum_ref, weight, 0, n);
+    const std::vector<float> out_ref_f(out_ref.begin(), out_ref.end());
+    for (const std::size_t step : {n, std::size_t{7}, std::size_t{11}}) {
+      const auto cuts = cuts_every(n, step);
+      std::vector<float> out(n, 0.0f);
+      std::vector<double> accum(n, 0.25);
+      double delta = 0.0;
+      for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
+        delta = std::max(delta, plan->multiply_fused_range_mixed(
+                                    x_f, out, accum, weight, cuts[c],
+                                    cuts[c + 1]));
+      }
+      EXPECT_EQ(out, out_ref_f) << "weight " << weight << " step " << step;
+      EXPECT_EQ(accum, accum_ref) << "weight " << weight << " step " << step;
+      EXPECT_EQ(delta, delta_ref) << "weight " << weight << " step " << step;
+    }
+  }
 }
 
 // Arnoldi over a chain large enough to engage the pool-sharded sweeps
